@@ -20,6 +20,7 @@ from .nn import (
     Optimizer,
     SynchronyModel,
     TrainConfig,
+    Workspace,
     forward_batch,
     init_model,
     loss_and_grads,
@@ -105,10 +106,11 @@ def _group_ids(windows: list[Window]) -> list[str]:
     return list(seen)
 
 
-def _eval_mse(model, x, y, lookback) -> float:
+def _eval_mse(model, x, y, lookback, workspace) -> float:
     preds = np.concatenate(
         [
-            forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback)
+            forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback,
+                          workspace=workspace)
             for i in range(0, len(x), PREDICT_BATCH)
         ]
     )
@@ -116,13 +118,19 @@ def _eval_mse(model, x, y, lookback) -> float:
 
 
 def train_experiment(
-    dataset: list[Window], config: ExperimentConfig
+    dataset: list[Window],
+    config: ExperimentConfig,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[SynchronyModel, TrainHistory]:
     """Train on a group-disjoint train/validation split of the windows.
 
     Records per-epoch train/validation MSE and returns the parameters from
     the epoch with the best validation loss. Deterministic given config.
+    Every training step and validation pass runs in ``workspace`` (a fresh
+    one when None); callers that train repeatedly pass one along.
     """
+    ws = Workspace() if workspace is None else workspace
     groups = _group_ids(dataset)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups to split")
@@ -151,8 +159,8 @@ def train_experiment(
             epochs=(
                 {
                     "epoch": 0,
-                    "train_mse": _eval_mse(model, x_train, y_train, tc.lookback),
-                    "val_mse": _eval_mse(model, x_val, y_val, tc.lookback),
+                    "train_mse": _eval_mse(model, x_train, y_train, tc.lookback, ws),
+                    "val_mse": _eval_mse(model, x_val, y_val, tc.lookback, ws),
                 },
             ),
             best_epoch=0,
@@ -171,12 +179,12 @@ def train_experiment(
         for start in range(0, n, tc.batch_size):
             idx = perm[start : start + tc.batch_size]
             loss, grads = loss_and_grads(
-                model, x_train[idx], y_train[idx], lookback=tc.lookback
+                model, x_train[idx], y_train[idx], lookback=tc.lookback, workspace=ws
             )
             running += loss * len(idx)
             model = opt.step(model, grads)
         train_mse = running / n
-        val_mse = _eval_mse(model, x_val, y_val, tc.lookback)
+        val_mse = _eval_mse(model, x_val, y_val, tc.lookback, ws)
         epochs.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse
@@ -256,11 +264,12 @@ def kfold_cv(
         ]
 
     results = []
+    ws = Workspace()
     for fold_idx, test_ids in enumerate(folds):
         test_set = set(test_ids)
         train_windows = [w for w in windows if w.group_id not in test_set]
         fold_cfg = replace(config, seed=int(seeds[fold_idx + 1].generate_state(1)[0]))
-        model, _ = train_experiment(train_windows, fold_cfg)
+        model, _ = train_experiment(train_windows, fold_cfg, workspace=ws)
         per_group = tuple(
             (
                 gid,
@@ -483,9 +492,10 @@ def sweep_lstm_count(
     if not counts:
         raise ValueError("counts must be non-empty")
     rows = []
+    ws = Workspace()
     for count in counts:
         cfg = replace(config, train=replace(config.train, n_lstms=count))
-        _, hist = train_experiment(dataset, cfg)
+        _, hist = train_experiment(dataset, cfg, workspace=ws)
         rows.append(
             {
                 "count": count,

@@ -12,12 +12,57 @@ cell-candidate, output. ``cells`` unpacks to per-cell parameter records.
 Gates use sigmoid and the candidate/cell nonlinearity is tanh by default;
 ``cell_activation="relu"`` replaces tanh with ReLU inside the cell for
 strict all-ReLU experiments.
+
+Training step. ``forward_batch`` and ``loss_and_grads`` write every
+intermediate with ``out=`` into a ``Workspace``, a set of named float64
+buffers that grow on demand, so a step on a reused workspace allocates
+nothing larger than a gradient. With T lookback frames, n LSTMs of H units
+and a batch of B, the forward cache (``want_cache=True``) holds:
+
+- ``x``: (B, T, D), the frames the step consumed (a view of the input);
+- ``gates``: (4, T, n, B, H), post-activations i, f, g, o, one
+  contiguous array per gate and step;
+- ``c``, ``h``: (T + 1, n, B, H), cell and hidden states; index 0 is the
+  zero initial state, index t + 1 the state after step t;
+- ``tc``: (T, n, B, H), act(c) per step;
+- ``hcat``: (B, n * H) final hidden states and ``z``: (B,) head output
+  before the ReLU.
+
+The pre-activations are not kept: the ReLU derivative is read from the
+post-activation, since (g > 0) equals (pre > 0). Without a cache the same
+buffers hold one step and two states. Cache arrays are views into the
+workspace and are overwritten by the next call on it; predictions and
+gradients are fresh arrays. A workspace belongs to one caller at a time
+(``kfold_cv`` and ``sweep_lstm_count`` reuse one across their training
+runs); ``None`` gives each call a fresh one. Overflow warnings are
+silenced for the whole step (the sigmoid's exp overflows to the correctly
+rounded 0); ``loss_and_grads`` raises ``FloatingPointError`` on a
+non-finite prediction.
+
+The step is bit-identical to the allocating version it replaced, kept in
+``tests/test_bit_identity.py`` as the oracle, because it keeps the
+operands and the order of every operation:
+
+- the input projection is x @ wx^T with its rows permuted to time-major;
+- the recurrent GEMM is h @ rh^T with shape (n, B, 4H); a gate-major
+  rh @ h^T gives different bits;
+- the pre-activation is summed as (x wx^T + h rh^T) + b;
+- sigmoid and tanh read the same strided slices of the pre-activation,
+  and every elementwise product is formed in the same order;
+- the backward pass builds each gate's gradient in contiguous scratch and
+  writes it into its slice of one (n, B, 4H) array, which the gradient
+  GEMMs and the batch sum read exactly as the concatenated array before.
+
+Results also match between one and two OpenBLAS threads at batch sizes 1,
+15, 64 and 105, but not at 901, where the ``rh`` gradient (a reduction
+over the batch) differs in the last bits with the thread count.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,11 +78,21 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed, truncated, or inconsistent."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp overflow for very negative x rounds to exactly 0, which is the
-    # correctly rounded sigmoid value, so the warning is suppressed
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), written into ``out`` when it is given.
+
+    exp overflows for very negative x and the result rounds to exactly 0,
+    the correctly rounded sigmoid value; callers run it under
+    ``np.errstate(over="ignore")``.
+    """
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -90,11 +145,12 @@ def cell_step(params: LstmCellParams, x_t, h_prev, c_prev, cell_activation="tanh
     c_prev = np.asarray(c_prev, dtype=np.float64)
     if x_t.shape != (params.input_size,) or h_prev.shape != (params.hidden_size,):
         raise ValueError("dimension mismatch")
-    act = np.tanh if cell_activation == "tanh" else lambda a: np.maximum(a, 0.0)
-    i = _sigmoid(params.w_input @ x_t + params.r_input @ h_prev + params.b_input)
-    f = _sigmoid(params.w_forget @ x_t + params.r_forget @ h_prev + params.b_forget)
+    act = np.tanh if cell_activation == "tanh" else _relu
+    with np.errstate(over="ignore"):
+        i = _sigmoid(params.w_input @ x_t + params.r_input @ h_prev + params.b_input)
+        f = _sigmoid(params.w_forget @ x_t + params.r_forget @ h_prev + params.b_forget)
+        o = _sigmoid(params.w_output @ x_t + params.r_output @ h_prev + params.b_output)
     g = act(params.w_cell @ x_t + params.r_cell @ h_prev + params.b_cell)
-    o = _sigmoid(params.w_output @ x_t + params.r_output @ h_prev + params.b_output)
     c_t = f * c_prev + i * g
     h_t = o * act(c_t)
     return h_t, c_t
@@ -240,10 +296,46 @@ def windows_to_batch(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _act(name):
+class Workspace:
+    """Named float64 scratch buffers reused by ``forward_batch`` and
+    ``loss_and_grads``.
+
+    A buffer grows on demand and is never shrunk: a smaller request gets a
+    view of the front of the existing one. Arrays a call returns inside its
+    cache are such views, valid until the next call on the same workspace;
+    predictions and gradients are always fresh arrays.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            # drop the old buffer first so the two never coexist
+            del buf
+            self._buffers.pop(name, None)
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _act_deriv(name: str, post: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """act'(pre) from the post-activation: 1 - post**2 for tanh, and
+    (post > 0), which equals (pre > 0), for relu."""
     if name == "tanh":
-        return np.tanh, lambda pre, post: 1.0 - post**2
-    return (lambda a: np.maximum(a, 0.0)), (lambda pre, post: (pre > 0).astype(float))
+        np.square(post, out=out)
+        return np.subtract(1.0, out, out=out)
+    return np.greater(post, 0.0, out=out)
+
+
+def _sigmoid_grad(x: np.ndarray, s: np.ndarray, scratch: np.ndarray,
+                  out: np.ndarray) -> None:
+    """out = (x * s) * (1 - s), the gradient through s = sigmoid(a); x is
+    overwritten."""
+    np.multiply(x, s, out=x)
+    np.subtract(1.0, s, out=scratch)
+    np.multiply(x, scratch, out=out)
 
 
 def forward_batch(
@@ -251,11 +343,16 @@ def forward_batch(
     x: np.ndarray,
     lookback: int | None = None,
     want_cache: bool = False,
+    *,
+    workspace: Workspace | None = None,
 ):
     """Run the bank over a (B, T, D) batch; returns (B,) predictions.
 
     Only the final ``lookback`` frames are consumed. Hidden and cell
-    states start at zero for every window (no carryover).
+    states start at zero for every window (no carryover). Intermediate
+    arrays live in ``workspace`` (a fresh one when None); with
+    ``want_cache`` the cache returned beside the predictions holds views
+    into it.
     """
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
@@ -265,34 +362,51 @@ def forward_batch(
     x = x[:, -lb:, :]
     bsz, t, d = x.shape
     n, hh = model.n_lstms, model.hidden_size
-    act, _ = _act(model.cell_activation)
+    ws = Workspace() if workspace is None else workspace
+    act = np.tanh if model.cell_activation == "tanh" else _relu
+    # a cache keeps every step; inference keeps one step and two states
+    keep = t if want_cache else 1
+
+    # input projection, time-major: row ti * B + b of each LSTM's block
+    xt = ws._get("x_time_major", (1, t * bsz, d))
+    np.copyto(xt.reshape(t, bsz, d), x.transpose(1, 0, 2))
+    xw = ws._get("xw", (n, t * bsz, 4 * hh))
+    np.matmul(xt, model.wx.transpose(0, 2, 1), out=xw)
+    xw = xw.reshape(n, t, bsz, 4 * hh)
+    rh_t = np.ascontiguousarray(model.rh.transpose(0, 2, 1))
+    bias = model.b[:, None, :]
 
     # internal layout (n_lstms, batch, ...) so each step is a batched GEMM
-    h = np.zeros((n, bsz, hh))
-    c = np.zeros((n, bsz, hh))
-    steps = []
-    xw = np.matmul(
-        x.reshape(1, bsz * t, d), model.wx.transpose(0, 2, 1)
-    ).reshape(n, bsz, t, 4 * hh)
-    rh_t = np.ascontiguousarray(model.rh.transpose(0, 2, 1))
-    for ti in range(t):
-        a = xw[:, :, ti, :] + np.matmul(h, rh_t) + model.b[:, None, :]
-        i = _sigmoid(a[..., :hh])
-        f = _sigmoid(a[..., hh : 2 * hh])
-        g = act(a[..., 2 * hh : 3 * hh])
-        o = _sigmoid(a[..., 3 * hh :])
-        c_prev = c
-        c = f * c_prev + i * g
-        tc = act(c)
-        h_prev = h
-        h = o * tc
-        if want_cache:
-            steps.append((a, i, f, g, o, c_prev, c, tc, h_prev))
-    hcat = h.transpose(1, 0, 2).reshape(bsz, n * hh)
+    a = ws._get("a", (n, bsz, 4 * hh))
+    gates = ws._get("gates", (4, keep, n, bsz, hh))  # i, f, g, o
+    cs = ws._get("c", (keep + 1, n, bsz, hh))
+    hs = ws._get("h", (keep + 1, n, bsz, hh))
+    tcs = ws._get("tc", (keep, n, bsz, hh))
+    ig = ws._get("ig", (n, bsz, hh))
+    cs[0] = 0.0
+    hs[0] = 0.0
+    with np.errstate(over="ignore"):
+        for ti in range(t):
+            s, prev, cur = ti % keep, ti % (keep + 1), (ti + 1) % (keep + 1)
+            np.matmul(hs[prev], rh_t, out=a)
+            np.add(xw[:, ti], a, out=a)
+            np.add(a, bias, out=a)
+            i, f, g, o = gates[:, s]
+            _sigmoid(a[..., :hh], out=i)
+            _sigmoid(a[..., hh : 2 * hh], out=f)
+            act(a[..., 2 * hh : 3 * hh], out=g)
+            _sigmoid(a[..., 3 * hh :], out=o)
+            np.multiply(f, cs[prev], out=cs[cur])
+            np.multiply(i, g, out=ig)
+            np.add(cs[cur], ig, out=cs[cur])
+            act(cs[cur], out=tcs[s])
+            np.multiply(o, tcs[s], out=hs[cur])
+    hcat = hs[t % (keep + 1)].transpose(1, 0, 2).reshape(bsz, n * hh)
     z = hcat @ model.head_w + model.head_b
     pred = np.maximum(z, 0.0)
     if want_cache:
-        return pred, {"x": x, "steps": steps, "hcat": hcat, "z": z}
+        return pred, {"x": x, "gates": gates, "c": cs, "h": hs, "tc": tcs,
+                      "hcat": hcat, "z": z}
     return pred
 
 
@@ -318,14 +432,21 @@ def loss_and_grads(
     x: np.ndarray,
     y: np.ndarray,
     lookback: int | None = None,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-MSE loss and exact gradients for every parameter via BPTT."""
-    pred, cache = forward_batch(model, x, lookback=lookback, want_cache=True)
+    """Mean-MSE loss and exact gradients for every parameter via BPTT.
+
+    Forward cache and backward scratch live in ``workspace`` (a fresh one
+    when None); the returned gradients are fresh arrays.
+    """
+    ws = Workspace() if workspace is None else workspace
+    pred, cache = forward_batch(model, x, lookback=lookback, want_cache=True,
+                                workspace=ws)
     if not np.all(np.isfinite(pred)):
         raise FloatingPointError("numerical overflow in forward pass")
     bsz = x.shape[0]
     n, hh = model.n_lstms, model.hidden_size
-    _, act_deriv = _act(model.cell_activation)
     loss = mse_loss(pred, y)
 
     dpred = 2.0 * (pred - y) / bsz
@@ -333,33 +454,50 @@ def loss_and_grads(
     g_head_w = cache["hcat"].T @ dz
     g_head_b = float(np.sum(dz))
     # back to the (n_lstms, batch, hidden) layout used in the forward pass
-    dh = np.ascontiguousarray(
-        (dz[:, None] * model.head_w[None, :]).reshape(bsz, n, hh).transpose(1, 0, 2)
-    )
-    dc = np.zeros_like(dh)
+    dh = ws._get("dh", (n, bsz, hh))
+    np.copyto(dh, (dz[:, None] * model.head_w[None, :]).reshape(bsz, n, hh)
+              .transpose(1, 0, 2))
+    dc = ws._get("dc", (n, bsz, hh))
+    dc[...] = 0.0
+    tmp = ws._get("tmp", (n, bsz, hh))
+    deriv = ws._get("deriv", (n, bsz, hh))
+    da = ws._get("da", (n, bsz, 4 * hh))
+    da_i, da_f, da_g, da_o = (da[..., k * hh : (k + 1) * hh] for k in range(4))
+    da_t = da.transpose(0, 2, 1)  # (n, 4H, B)
 
     g_wx = np.zeros_like(model.wx)
     g_rh = np.zeros_like(model.rh)
     g_b = np.zeros_like(model.b)
-    xs = cache["x"]
-    for ti in range(len(cache["steps"]) - 1, -1, -1):
-        a, i, f, g, o, c_prev, c, tc, h_prev = cache["steps"][ti]
-        do = dh * tc
-        da_o = do * o * (1.0 - o)
-        dc = dc + dh * o * act_deriv(c, tc)
-        di = dc * g
-        da_i = di * i * (1.0 - i)
-        df = dc * c_prev
-        da_f = df * f * (1.0 - f)
-        dg = dc * i
-        da_g = dg * act_deriv(a[..., 2 * hh : 3 * hh], g)
-        da = np.concatenate([da_i, da_f, da_g, da_o], axis=-1)  # (n, B, 4H)
-        da_t = da.transpose(0, 2, 1)  # (n, 4H, B)
-        g_wx += np.matmul(da_t, xs[None, :, ti, :])
-        g_rh += np.matmul(da_t, h_prev)
-        g_b += da.sum(axis=1)
-        dh = np.matmul(da, model.rh)
-        dc = dc * f
+    step_wx = ws._get("step_wx", g_wx.shape)
+    step_rh = ws._get("step_rh", g_rh.shape)
+    step_b = ws._get("step_b", g_b.shape)
+    xs, gates, cs, hs, tcs = (cache[k] for k in ("x", "gates", "c", "h", "tc"))
+    name = model.cell_activation
+    for ti in range(xs.shape[1] - 1, -1, -1):
+        i, f, g, o = gates[:, ti]
+        # each gate's gradient is formed in contiguous scratch and written
+        # to its strided slice of da once; strided operands cost ~2x
+        # da_o = (dh * act(c)) * o * (1 - o)
+        np.multiply(dh, tcs[ti], out=tmp)
+        _sigmoid_grad(tmp, o, deriv, out=da_o)
+        # dc += (dh * o) * act'(c)
+        np.multiply(dh, o, out=tmp)
+        np.multiply(tmp, _act_deriv(name, tcs[ti], deriv), out=tmp)
+        np.add(dc, tmp, out=dc)
+        # da_i = (dc * g) * i * (1 - i)
+        np.multiply(dc, g, out=tmp)
+        _sigmoid_grad(tmp, i, deriv, out=da_i)
+        # da_f = (dc * c_prev) * f * (1 - f)
+        np.multiply(dc, cs[ti], out=tmp)
+        _sigmoid_grad(tmp, f, deriv, out=da_f)
+        # da_g = (dc * i) * act'(a_g)
+        np.multiply(dc, i, out=tmp)
+        np.multiply(tmp, _act_deriv(name, g, deriv), out=da_g)
+        g_wx += np.matmul(da_t, xs[None, :, ti, :], out=step_wx)
+        g_rh += np.matmul(da_t, hs[ti], out=step_rh)
+        g_b += np.sum(da, axis=1, out=step_b)
+        np.matmul(da, model.rh, out=dh)
+        np.multiply(dc, f, out=dc)
     grads = {
         "wx": g_wx,
         "rh": g_rh,
@@ -368,20 +506,6 @@ def loss_and_grads(
         "head_b": np.array([g_head_b]),
     }
     return loss, grads
-
-
-def backward(
-    model: SynchronyModel,
-    windows: list[Window],
-    labels=None,
-    lookback: int | None = None,
-) -> dict[str, np.ndarray]:
-    """Gradients of mean MSE over a batch of windows."""
-    x, y = windows_to_batch(windows)
-    if labels is not None:
-        y = np.asarray(labels, dtype=np.float64)
-    _, grads = loss_and_grads(model, x, y, lookback=lookback)
-    return grads
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -429,17 +553,6 @@ class Optimizer:
             vhat = self.v[k] / (1 - b2**self.t)
             params[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
         return model.with_params(params)
-
-
-def optimizer_step(
-    model: SynchronyModel,
-    grads: dict[str, np.ndarray],
-    config: TrainConfig,
-    optimizer: Optimizer | None = None,
-) -> SynchronyModel:
-    """One update; pass a persistent Optimizer to keep Adam moments."""
-    opt = optimizer if optimizer is not None else Optimizer(config)
-    return opt.step(model, grads)
 
 
 MODEL_FORMAT = "synchrony-model"

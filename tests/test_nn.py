@@ -334,4 +334,4 @@ def test_cells_round_trip_packed_layout():
     xvec = data.reshape(3)
     h_ref, c_ref = cell_step(cells[0], xvec, np.zeros(4), np.zeros(4))
     pred, cache = forward_batch(m, data.reshape(1, 1, 3), lookback=1, want_cache=True)
-    np.testing.assert_allclose(cache["steps"][0][6][0, 0], c_ref, atol=1e-12)
+    np.testing.assert_allclose(cache["c"][1][0, 0], c_ref, atol=1e-12)
