@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .core import (
     InteractionSample,
     TimeSeries,
-    Window,
+    WindowedDataset,
     extract_windows,
     zscore_normalize,
 )
@@ -28,13 +28,10 @@ from .metrics import (
     std_percent_error,
 )
 from .nn import (
-    LstmCellParams,
     SynchronyModel,
     TrainConfig,
-    cell_step,
     init_model,
     load_model,
-    model_forward,
     mse_loss,
     save_model,
 )
@@ -53,13 +50,12 @@ from .experiments import (
 )
 
 __all__ = [
-    "TimeSeries", "InteractionSample", "Window",
+    "TimeSeries", "InteractionSample", "WindowedDataset",
     "extract_windows", "zscore_normalize",
     "CouplingSpec", "ScalarCovSpec", "GeneratedPair",
     "spectral_pair_gen", "scalar_pair_gen", "gen_dataset",
     "empirical_cross_cov", "preset_pairs",
-    "LstmCellParams", "SynchronyModel", "TrainConfig",
-    "cell_step", "model_forward", "mse_loss",
+    "SynchronyModel", "TrainConfig", "mse_loss",
     "init_model", "save_model", "load_model",
     "EvalReport", "build_report",
     "mean_abs_percent_error", "std_percent_error", "r_squared",

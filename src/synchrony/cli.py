@@ -3,8 +3,9 @@
 Subcommands: datagen, train, kfold, baseline, sweep, ingest, annotate.
 Every run writes a manifest (resolved config, seed, input hashes, output
 paths) next to its outputs; re-running with the same inputs and seed
-reproduces the result files bit-for-bit. Partial outputs are removed when
-a command fails.
+reproduces the result files bit-for-bit. A failed command prints an
+``error:`` line, exits 2 and removes its partial outputs, and the output
+directory too if it created it.
 
 Dataset directories carry a ``manifest.json`` of one of two kinds:
   - ``{"kind": "pairs", "pairs": [{"file": ..., "label": ...}, ...]}``
@@ -43,6 +44,7 @@ from .ingest import (
     load_annotation_csv,
     load_au_csv,
     load_group_manifest,
+    select_top_aus,
 )
 from .nn import TrainConfig, save_model
 
@@ -64,7 +66,13 @@ def _sha256(path: Path) -> str:
 
 
 class RunContext:
-    """Tracks inputs, outputs, and the resolved config for the manifest."""
+    """Tracks inputs, outputs, and the resolved config for the manifest.
+
+    Used as a context manager around a command's work: on a clean exit it
+    writes ``run_manifest.json``; on an exception it removes every output
+    registered so far, and the output directory too if the run created it
+    and nothing else is in it.
+    """
 
     def __init__(self, command: str, out_dir: Path, config: dict):
         self.command = command
@@ -72,21 +80,38 @@ class RunContext:
         self.config = config
         self.inputs: dict[str, str] = {}
         self.outputs: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self._created_dir = False
+
+    def __enter__(self) -> "RunContext":
+        self._created_dir = not self.out_dir.exists()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.cleanup()
+            return
+        try:
+            self.finalize()
+        except BaseException:
+            self.cleanup()
+            raise
 
     def record_input(self, path) -> Path:
         path = Path(path)
         self.inputs[str(path)] = _sha256(path)
         return path
 
-    def write_text(self, name: str, text: str) -> Path:
+    def output(self, name: str) -> Path:
+        """Register ``name`` in the output directory as an output, before
+        anything is written to it; returns its path."""
         path = self.out_dir / name
-        path.write_text(text)
         self.outputs.append(path)
         return path
 
-    def register_output(self, path: Path) -> Path:
-        self.outputs.append(path)
+    def write_text(self, name: str, text: str) -> Path:
+        path = self.output(name)
+        path.write_text(text)
         return path
 
     def finalize(self) -> Path:
@@ -106,6 +131,11 @@ class RunContext:
         for p in self.outputs:
             try:
                 p.unlink(missing_ok=True)
+            except OSError:
+                pass
+        if self._created_dir:
+            try:
+                self.out_dir.rmdir()
             except OSError:
                 pass
 
@@ -154,43 +184,92 @@ def _parse_counts(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that rejects a JSON object naming a key twice,
+    which ``json.loads`` would otherwise resolve by keeping the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+def _label(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{where}: label {value!r} is not a number") from None
+
+
+def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
+    """One pairs-kind manifest entry and its frame,x,y CSV."""
+    if not isinstance(entry, dict) or not {"file", "label"} <= entry.keys():
+        raise CliError(f"{where}: needs both 'file' and 'label'")
+    if not isinstance(entry["file"], str):
+        raise CliError(f"{where}: 'file' must be a path string")
+    path = data_dir / entry["file"]
+    if ctx:
+        ctx.record_input(path)
+    frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if frames.shape[1] != 3:
+        raise CliError(f"{path}: expected the 3 columns frame,x,y")
+    return InteractionSample(
+        ((TimeSeries(frames[:, 1]),), (TimeSeries(frames[:, 2]),)),
+        label=_label(entry["label"], where),
+        group_id=str(entry.get("group_id", Path(entry["file"]).stem)),
+    )
+
+
 def load_dataset(data_dir, ctx: RunContext | None = None) -> list[InteractionSample]:
-    """Read a pairs- or groups-kind dataset directory into samples."""
+    """Read a pairs- or groups-kind dataset directory into samples.
+
+    A malformed manifest or pair CSV, or a group id used twice, raises
+    CliError.
+    """
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise CliError(f"no manifest.json in {data_dir}")
     if ctx:
         ctx.record_input(manifest_path)
-    doc = json.loads(manifest_path.read_text())
-    kind = doc.get("kind")
-    samples = []
+    try:
+        doc = json.loads(manifest_path.read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise CliError(f"{manifest_path}: invalid JSON: {exc}") from None
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "pairs":
-        for entry in doc["pairs"]:
-            path = data_dir / entry["file"]
-            if ctx:
-                ctx.record_input(path)
-            frames = np.loadtxt(path, delimiter=",", skiprows=1)
-            sample = InteractionSample(
-                ((TimeSeries(frames[:, 1]),), (TimeSeries(frames[:, 2]),)),
-                label=float(entry["label"]),
-                group_id=entry.get("group_id", Path(entry["file"]).stem),
-            )
-            samples.append(sample)
-        return samples
-    if kind == "groups":
-        labels = doc["labels"]
+        entries = doc.get("pairs")
+        if not isinstance(entries, list):
+            raise CliError(f"{manifest_path}: 'pairs' must be a list")
+        samples = [
+            _load_pair(data_dir, entry, f"{manifest_path}: pair entry {i}", ctx)
+            for i, entry in enumerate(entries)
+        ]
+    elif kind == "groups":
+        groups, labels = doc.get("groups"), doc.get("labels")
+        if not isinstance(groups, dict) or not isinstance(labels, dict):
+            raise CliError(f"{manifest_path}: 'groups' and 'labels' must be objects")
         k = int(doc.get("top_aus", 3))
-        for gid, files in doc["groups"].items():
+        samples = []
+        for gid, files in groups.items():
+            if gid not in labels:
+                raise CliError(f"{manifest_path}: no label for group {gid!r}")
             recs = []
             for f in files:
                 path = data_dir / f
                 if ctx:
                     ctx.record_input(path)
                 recs.append(load_au_csv(path, group_id=gid))
-            samples.append(group_to_sample(recs, float(labels[gid]), gid, k=k))
-        return samples
-    raise CliError(f"unknown dataset kind {kind!r} in {manifest_path}")
+            label = _label(labels[gid], f"{manifest_path}: group {gid!r}")
+            samples.append(group_to_sample(recs, label, gid, k=k))
+    else:
+        raise CliError(f"unknown dataset kind {kind!r} in {manifest_path}")
+    seen = set()
+    for s in samples:
+        if s.group_id in seen:
+            raise CliError(f"{manifest_path}: duplicate group id {s.group_id!r}")
+        seen.add(s.group_id)
+    return samples
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -235,15 +314,12 @@ def cmd_datagen(args) -> int:
     cfg.setdefault("len", 1000)
     cfg.setdefault("phi_range", "0.1:0.9")
     cfg.setdefault("seed", 0)
-    out = Path(args.out)
-    ctx = RunContext("datagen", out, cfg)
-    try:
+    with RunContext("datagen", Path(args.out), cfg) as ctx:
         entries = []
         if cfg.get("preset"):
             pair = preset_pairs(cfg["preset"], int(cfg["seed"]), int(cfg["len"]))
             name = f"{cfg['preset']}.csv"
-            _write_pair_csv(out / name, pair)
-            ctx.register_output(out / name)
+            _write_pair_csv(ctx.output(name), pair)
             entries.append({"file": name, "label": pair.coupling,
                             "group_id": cfg["preset"]})
         else:
@@ -253,8 +329,7 @@ def cmd_datagen(args) -> int:
             )
             for i, pair in enumerate(dataset):
                 name = f"pair_{i:04d}.csv"
-                _write_pair_csv(out / name, pair)
-                ctx.register_output(out / name)
+                _write_pair_csv(ctx.output(name), pair)
                 entries.append(
                     {"file": name, "label": pair.coupling, "group_id": f"pair_{i:04d}"}
                 )
@@ -267,11 +342,7 @@ def cmd_datagen(args) -> int:
             )
             + "\n",
         )
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    return 0
 
 
 _EXPERIMENT_KEYS = [
@@ -282,25 +353,27 @@ _EXPERIMENT_KEYS = [
 ]
 
 
-def _experiment_context(args, command: str) -> tuple[RunContext, ExperimentConfig, list]:
-    cfg = _resolve(args, _EXPERIMENT_KEYS + ["data"])
+def _experiment_context(
+    args, command: str, extra_keys: tuple[str, ...] = ()
+) -> tuple[RunContext, ExperimentConfig]:
+    cfg = _resolve(args, _EXPERIMENT_KEYS + ["data", *extra_keys])
     if "data" not in cfg:
         raise CliError("--data is required")
-    ctx = RunContext(command, Path(args.out), cfg)
-    samples = load_dataset(cfg["data"], ctx)
-    return ctx, _experiment_config(cfg), samples
+    return RunContext(command, Path(args.out), cfg), _experiment_config(cfg)
+
+
+def _windowed(samples, config: ExperimentConfig):
+    return build_windowed_dataset(
+        samples, config.window_length, config.stride, normalize=config.normalize
+    )
 
 
 def cmd_train(args) -> int:
-    ctx, config, samples = _experiment_context(args, "train")
-    try:
-        windows = build_windowed_dataset(
-            samples, config.window_length, config.stride, normalize=config.normalize
-        )
-        model, history = train_experiment(windows, config)
-        model_path = ctx.out_dir / "model.json"
-        save_model(model, model_path)
-        ctx.register_output(model_path)
+    ctx, config = _experiment_context(args, "train")
+    with ctx:
+        samples = load_dataset(ctx.config["data"], ctx)
+        model, history = train_experiment(_windowed(samples, config), config)
+        save_model(model, ctx.output("model.json"))
         ctx.write_text(
             "history.json",
             json.dumps(
@@ -309,36 +382,25 @@ def cmd_train(args) -> int:
             )
             + "\n",
         )
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    return 0
 
 
 def cmd_kfold(args) -> int:
-    ctx, config, samples = _experiment_context(args, "kfold")
-    try:
-        _run_kfold(ctx, config, samples, with_baseline=False)
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    ctx, config = _experiment_context(args, "kfold")
+    with ctx:
+        _run_kfold(ctx, config, with_baseline=False)
+    return 0
 
 
 def cmd_baseline(args) -> int:
-    ctx, config, samples = _experiment_context(args, "baseline")
-    try:
-        _run_kfold(ctx, config, samples, with_baseline=True)
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    ctx, config = _experiment_context(args, "baseline")
+    with ctx:
+        _run_kfold(ctx, config, with_baseline=True)
+    return 0
 
 
-def _run_kfold(ctx, config, samples, with_baseline: bool) -> None:
+def _run_kfold(ctx, config, with_baseline: bool) -> None:
+    samples = load_dataset(ctx.config["data"], ctx)
     fold_results, report = kfold_cv(samples, config)
     ctx.write_text("report.json", report.to_json() + "\n")
     table = report.to_table("5-Fold validation")
@@ -362,29 +424,18 @@ def _run_kfold(ctx, config, samples, with_baseline: bool) -> None:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, _EXPERIMENT_KEYS + ["data", "counts"])
-    if "data" not in cfg:
-        raise CliError("--data is required")
-    cfg.setdefault("counts", "1:9")
-    ctx = RunContext("sweep", Path(args.out), cfg)
-    try:
-        samples = load_dataset(cfg["data"], ctx)
-        config = _experiment_config(cfg)
-        counts = _parse_counts(str(cfg["counts"]))
-        windows = build_windowed_dataset(
-            samples, config.window_length, config.stride, normalize=config.normalize
-        )
-        rows = sweep_lstm_count(windows, counts, config)
+    ctx, config = _experiment_context(args, "sweep", ("counts",))
+    ctx.config.setdefault("counts", "1:9")
+    with ctx:
+        samples = load_dataset(ctx.config["data"], ctx)
+        counts = _parse_counts(str(ctx.config["counts"]))
+        rows = sweep_lstm_count(_windowed(samples, config), counts, config)
         lines = ["count,train_error,val_error"]
         lines += [
             f"{r['count']},{r['train_error']!r},{r['val_error']!r}" for r in rows
         ]
         ctx.write_text("sweep.csv", "\n".join(lines) + "\n")
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    return 0
 
 
 def cmd_ingest(args) -> int:
@@ -392,8 +443,7 @@ def cmd_ingest(args) -> int:
     if "manifest" not in cfg or "labels" not in cfg:
         raise CliError("--manifest and --labels are required")
     cfg.setdefault("top_aus", 3)
-    ctx = RunContext("ingest", Path(args.out), cfg)
-    try:
+    with RunContext("ingest", Path(args.out), cfg) as ctx:
         manifest_path = ctx.record_input(cfg["manifest"])
         groups = load_group_manifest(manifest_path)
         labels_path = ctx.record_input(cfg["labels"])
@@ -412,8 +462,6 @@ def cmd_ingest(args) -> int:
             sample = group_to_sample(
                 recs, float(labels[gid]), gid, k=int(cfg["top_aus"])
             )
-            from .ingest import select_top_aus
-
             summary[gid] = {
                 "participants": sample.n_participants,
                 "frames": sample.n_frames,
@@ -435,11 +483,7 @@ def cmd_ingest(args) -> int:
             + "\n",
         )
         ctx.write_text("summary.json", json.dumps(summary, indent=2) + "\n")
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    return 0
 
 
 def cmd_annotate(args) -> int:
@@ -448,8 +492,7 @@ def cmd_annotate(args) -> int:
         raise CliError("--scores is required")
     cfg.setdefault("threshold", 1.0)
     cfg.setdefault("pooled", False)
-    ctx = RunContext("annotate", Path(args.out), cfg)
-    try:
+    with RunContext("annotate", Path(args.out), cfg) as ctx:
         scores_path = ctx.record_input(cfg["scores"])
         sets = load_annotation_csv(scores_path)
         labels, flagged, removed = aggregate_annotations(
@@ -470,11 +513,7 @@ def cmd_annotate(args) -> int:
             )
             + "\n",
         )
-        ctx.finalize()
-        return 0
-    except Exception:
-        ctx.cleanup()
-        raise
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,7 +600,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,18 @@
 """Core time-series containers and sliding-window extraction.
 
 Everything downstream (generation, training, evaluation) works in terms of
-these three types: a single uniformly sampled signal, a labeled group of
-signals, and a fixed-length window cut from such a group.
+these types: a single uniformly sampled signal, a labeled group of signals,
+and the fixed-length windows cut from such groups. A window is a (W, K*C)
+slice of a group's per-frame matrix, held as a strided view, never copied
+one window at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_FRAME_RATE_HZ = 30.0
 
@@ -92,34 +94,41 @@ class InteractionSample:
     def n_frames(self) -> int:
         return len(self.participants[0][0])
 
-    def as_array(self) -> np.ndarray:
-        """Stack all channels into a (K, C, T) array."""
+    def frames(self) -> np.ndarray:
+        """The (T, K*C) per-frame matrix; column k*C + c holds channel c of
+        participant k."""
         return np.stack(
-            [np.stack([ts.values for ts in cs]) for cs in self.participants]
+            [ts.values for cs in self.participants for ts in cs], axis=1
         )
 
 
 @dataclass(frozen=True)
-class Window:
-    """A fixed-length slice of an InteractionSample.
+class WindowedDataset:
+    """Fixed-length windows of several samples, as parallel arrays.
 
-    ``data`` has shape (K, C, W) and carries the parent sample's label.
+    ``frames`` stacks the per-frame matrices of the samples; window i is
+    ``frames[starts[i] : starts[i] + window_length]`` and carries
+    ``labels[i]`` and ``group_ids[i]``. No window crosses from one sample
+    into the next.
     """
 
-    start_frame: int
-    data: np.ndarray
-    label: float
-    group_id: str = ""
+    frames: np.ndarray
+    window_length: int
+    starts: np.ndarray
+    labels: np.ndarray
+    group_ids: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("window data must be a (K, C, W) array")
-        object.__setattr__(self, "data", arr)
+    def __len__(self) -> int:
+        return self.starts.size
 
-    @property
-    def length(self) -> int:
-        return self.data.shape[2]
+    def select(self, mask: np.ndarray) -> "WindowedDataset":
+        """The windows where ``mask`` is true, in the same order."""
+        return replace(
+            self,
+            starts=self.starts[mask],
+            labels=self.labels[mask],
+            group_ids=self.group_ids[mask],
+        )
 
 
 def window_count(n_frames: int, window_length: int, stride: int) -> int:
@@ -129,36 +138,36 @@ def window_count(n_frames: int, window_length: int, stride: int) -> int:
     return (n_frames - window_length) // stride + 1
 
 
-def extract_windows(
-    sample: InteractionSample, window_length: int, stride: int = 1
-) -> list[Window]:
-    """Slice a sample into overlapping windows.
-
-    Window i starts at frame ``i * stride``; every window inherits the
-    sample's label. Raises if the window does not fit or the stride is not
-    positive.
-    """
+def check_window(n_frames: int, window_length: int, stride: int) -> None:
+    """Raise unless windows of ``window_length`` at ``stride`` fit in
+    ``n_frames``."""
     if stride <= 0:
         raise ValueError("stride must be positive")
     if window_length <= 0:
         raise ValueError("window_length must be positive")
-    if window_length > sample.n_frames:
+    if window_length > n_frames:
         raise ValueError(
-            f"window exceeds signal: window_length {window_length} > {sample.n_frames} frames"
+            f"window exceeds signal: window_length {window_length} > {n_frames} frames"
         )
-    cube = sample.as_array()
-    out = []
-    for i in range(window_count(sample.n_frames, window_length, stride)):
-        start = i * stride
-        out.append(
-            Window(
-                start_frame=start,
-                data=cube[:, :, start : start + window_length],
-                label=sample.label,
-                group_id=sample.group_id,
-            )
-        )
-    return out
+
+
+def window_view(frames: np.ndarray, window_length: int) -> np.ndarray:
+    """Read-only (T - W + 1, W, D) view of a (T, D) matrix whose entry s is
+    ``frames[s : s + W]``; nothing is copied."""
+    return sliding_window_view(frames, window_length, axis=0).transpose(0, 2, 1)
+
+
+def extract_windows(
+    sample: InteractionSample, window_length: int, stride: int = 1
+) -> np.ndarray:
+    """Slice a sample into overlapping windows.
+
+    Returns a read-only (n_windows, W, K*C) strided view of the sample's
+    per-frame matrix; window i starts at frame ``i * stride``. Raises if
+    the window does not fit or the stride is not positive.
+    """
+    check_window(sample.n_frames, window_length, stride)
+    return window_view(sample.frames(), window_length)[::stride]
 
 
 def zscore_normalize(series: TimeSeries) -> TimeSeries:

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import InteractionSample, TimeSeries, Window, extract_windows, normalize_sample
+from .core import (
+    InteractionSample,
+    TimeSeries,
+    WindowedDataset,
+    check_window,
+    extract_windows,
+    normalize_sample,
+    window_count,
+)
 from .generate import GeneratedPair, gen_dataset, gen_group_dataset
 from .metrics import EvalReport, build_report
 from .nn import (
@@ -84,26 +92,37 @@ def build_windowed_dataset(
     window_length: int,
     stride: int = 1,
     normalize: bool = False,
-) -> list[Window]:
-    """Window every sample; each window keeps its sample's label and group."""
+) -> WindowedDataset:
+    """Window every sample; each window keeps its sample's label and group.
+
+    Windows are listed sample by sample, each sample's from frame 0 on.
+    """
     if not samples:
         raise ValueError("no samples")
     dims = {(s.n_participants, s.n_channels) for s in samples}
     if len(dims) != 1:
         raise ValueError("all samples must share participant/channel counts")
-    out: list[Window] = []
+    if normalize:
+        samples = [normalize_sample(s) for s in samples]
     for s in samples:
-        if normalize:
-            s = normalize_sample(s)
-        out.extend(extract_windows(s, window_length, stride))
-    return out
+        check_window(s.n_frames, window_length, stride)
+    counts = [window_count(s.n_frames, window_length, stride) for s in samples]
+    offsets = np.cumsum([0] + [s.n_frames for s in samples[:-1]])
+    frames = np.concatenate([s.frames() for s in samples])
+    frames.setflags(write=False)
+    return WindowedDataset(
+        frames=frames,
+        window_length=window_length,
+        starts=np.concatenate(
+            [o + stride * np.arange(n) for o, n in zip(offsets, counts)]
+        ),
+        labels=np.repeat(np.array([s.label for s in samples], dtype=np.float64), counts),
+        group_ids=np.repeat(np.array([s.group_id for s in samples]), counts),
+    )
 
 
-def _group_ids(windows: list[Window]) -> list[str]:
-    seen: dict[str, None] = {}
-    for w in windows:
-        seen.setdefault(w.group_id)
-    return list(seen)
+def _group_ids(dataset: WindowedDataset) -> list[str]:
+    return list(dict.fromkeys(dataset.group_ids.tolist()))
 
 
 def _eval_mse(model, x, y, lookback, workspace) -> float:
@@ -118,7 +137,7 @@ def _eval_mse(model, x, y, lookback, workspace) -> float:
 
 
 def train_experiment(
-    dataset: list[Window],
+    dataset: WindowedDataset,
     config: ExperimentConfig,
     *,
     workspace: Workspace | None = None,
@@ -139,12 +158,9 @@ def train_experiment(
     order = list(np.array(groups)[rng.permutation(len(groups))])
     n_train = min(max(int(round(config.train_fraction * len(groups))), 1),
                   len(groups) - 1)
-    train_groups = set(order[:n_train])
-
-    train_windows = [w for w in dataset if w.group_id in train_groups]
-    val_windows = [w for w in dataset if w.group_id not in train_groups]
-    x_train, y_train = windows_to_batch(train_windows)
-    x_val, y_val = windows_to_batch(val_windows)
+    train_mask = np.isin(dataset.group_ids, order[:n_train])
+    x_train, y_train = windows_to_batch(dataset.select(train_mask))
+    x_val, y_val = windows_to_batch(dataset.select(~train_mask))
 
     input_size = x_train.shape[2]
     model = init_model(
@@ -205,8 +221,7 @@ def predict_sample(
     """Window-level predictions aggregated to one score for the sample."""
     if normalize:
         sample = normalize_sample(sample)
-    windows = extract_windows(sample, window_length, stride)
-    x, _ = windows_to_batch(windows)
+    x = extract_windows(sample, window_length, stride)
     preds = np.concatenate(
         [
             forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback)
@@ -266,8 +281,7 @@ def kfold_cv(
     results = []
     ws = Workspace()
     for fold_idx, test_ids in enumerate(folds):
-        test_set = set(test_ids)
-        train_windows = [w for w in windows if w.group_id not in test_set]
+        train_windows = windows.select(~np.isin(windows.group_ids, test_ids))
         fold_cfg = replace(config, seed=int(seeds[fold_idx + 1].generate_state(1)[0]))
         model, _ = train_experiment(train_windows, fold_cfg, workspace=ws)
         per_group = tuple(
@@ -486,7 +500,7 @@ def latent_group_samples(
 
 
 def sweep_lstm_count(
-    dataset: list[Window], counts: list[int], config: ExperimentConfig
+    dataset: WindowedDataset, counts: list[int], config: ExperimentConfig
 ) -> list[dict]:
     """Train once per LSTM count; report each run's best train/val MSE."""
     if not counts:

@@ -12,11 +12,8 @@ The sqrt-spectrum scaling below depends on this convention; with it, a
 white driver u satisfies E[|fft(u)_q|^2] = len and the generated pair
 realizes the prescribed covariance sequences circularly.
 
-Default output takes the REAL PART of the inverse DFT, which preserves
-Gaussianity and the prescribed second-order statistics. ``magnitude=True``
-instead takes the modulus, which is kept only as a compatibility mode: it
-biases the covariance and is excluded from the statistical-fidelity
-guarantees.
+The output is the REAL PART of the inverse DFT, which preserves
+Gaussianity and the prescribed second-order statistics.
 """
 
 from __future__ import annotations
@@ -140,7 +137,6 @@ def spectral_pair_gen(
     spec: CouplingSpec,
     seed,
     coupling: float | None = None,
-    magnitude: bool = False,
 ) -> GeneratedPair:
     """Generate one pair from a CouplingSpec. Deterministic given seed."""
     sxx, syy, sxy = spec.spectra()
@@ -158,12 +154,8 @@ def spectral_pair_gen(
 
     fx = np.sqrt(sxx) * (np.cos(alpha) * fu + np.sin(alpha) * fv)
     fy = np.sqrt(syy) * fu
-    xs = np.fft.ifft(fx)
-    ys = np.fft.ifft(fy)
-    if magnitude:
-        xr, yr = np.abs(xs), np.abs(ys)
-    else:
-        xr, yr = xs.real, ys.real
+    xr = np.fft.ifft(fx).real
+    yr = np.fft.ifft(fy).real
 
     d = spec.delay
     xr = xr[d:]

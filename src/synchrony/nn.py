@@ -7,7 +7,7 @@ single nonnegative synchrony prediction.
 
 Everything is float64 numpy. For speed the cell parameters are stored
 stacked across the bank: gate order along the 4H axis is input, forget,
-cell-candidate, output. ``cells`` unpacks to per-cell parameter records.
+cell-candidate, output.
 
 Gates use sigmoid and the candidate/cell nonlinearity is tanh by default;
 ``cell_activation="relu"`` replaces tanh with ReLU inside the cell for
@@ -63,15 +63,13 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Window
+from .core import WindowedDataset, window_view
 
 DEFAULT_LOOKBACK = 30
-
-_GATES = ("input", "forget", "cell", "output")
 
 
 class ModelFormatError(ValueError):
@@ -93,67 +91,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
-
-
-@dataclass(frozen=True)
-class LstmCellParams:
-    """Per-gate weights of one LSTM cell.
-
-    ``w_*`` are input weights (hidden x input), ``r_*`` recurrent weights
-    (hidden x hidden), ``b_*`` biases (hidden,).
-    """
-
-    w_input: np.ndarray
-    w_forget: np.ndarray
-    w_cell: np.ndarray
-    w_output: np.ndarray
-    r_input: np.ndarray
-    r_forget: np.ndarray
-    r_cell: np.ndarray
-    r_output: np.ndarray
-    b_input: np.ndarray
-    b_forget: np.ndarray
-    b_cell: np.ndarray
-    b_output: np.ndarray
-
-    def __post_init__(self):
-        h, d = self.w_input.shape
-        for g in _GATES:
-            if getattr(self, f"w_{g}").shape != (h, d):
-                raise ValueError("inconsistent input weight shapes")
-            if getattr(self, f"r_{g}").shape != (h, h):
-                raise ValueError("inconsistent recurrent weight shapes")
-            if getattr(self, f"b_{g}").shape != (h,):
-                raise ValueError("inconsistent bias shapes")
-            for prefix in ("w", "r", "b"):
-                if not np.all(np.isfinite(getattr(self, f"{prefix}_{g}"))):
-                    raise ValueError("non-finite parameters")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_input.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_input.shape[1]
-
-
-def cell_step(params: LstmCellParams, x_t, h_prev, c_prev, cell_activation="tanh"):
-    """One LSTM recurrence step. Reference (single-vector) implementation."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    if x_t.shape != (params.input_size,) or h_prev.shape != (params.hidden_size,):
-        raise ValueError("dimension mismatch")
-    act = np.tanh if cell_activation == "tanh" else _relu
-    with np.errstate(over="ignore"):
-        i = _sigmoid(params.w_input @ x_t + params.r_input @ h_prev + params.b_input)
-        f = _sigmoid(params.w_forget @ x_t + params.r_forget @ h_prev + params.b_forget)
-        o = _sigmoid(params.w_output @ x_t + params.r_output @ h_prev + params.b_output)
-    g = act(params.w_cell @ x_t + params.r_cell @ h_prev + params.b_cell)
-    c_t = f * c_prev + i * g
-    h_t = o * act(c_t)
-    return h_t, c_t
 
 
 @dataclass(frozen=True)
@@ -196,20 +133,6 @@ class SynchronyModel:
     @property
     def input_size(self) -> int:
         return self.wx.shape[2]
-
-    @property
-    def cells(self) -> list[LstmCellParams]:
-        h = self.hidden_size
-        out = []
-        for n in range(self.n_lstms):
-            kw = {}
-            for gi, g in enumerate(_GATES):
-                sl = slice(gi * h, (gi + 1) * h)
-                kw[f"w_{g}"] = self.wx[n, sl, :].copy()
-                kw[f"r_{g}"] = self.rh[n, sl, :].copy()
-                kw[f"b_{g}"] = self.b[n, sl].copy()
-            out.append(LstmCellParams(**kw))
-        return out
 
     def params(self) -> dict[str, np.ndarray]:
         return {
@@ -281,19 +204,13 @@ def init_model(
     return SynchronyModel(wx, rh, b, head_w, 0.0, cell_activation)
 
 
-def window_to_input(window: Window) -> np.ndarray:
-    """Flatten a (K, C, W) window into a (W, K*C) per-frame input matrix."""
-    k, c, w = window.data.shape
-    return window.data.reshape(k * c, w).T
-
-
-def windows_to_batch(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into (B, W, K*C) inputs and (B,) labels."""
-    if not windows:
+def windows_to_batch(dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The windows of a dataset as a (B, W, K*C) input array and (B,)
+    labels; the one place window data is copied."""
+    if len(dataset) == 0:
         raise ValueError("empty batch")
-    x = np.stack([window_to_input(w) for w in windows])
-    y = np.array([w.label for w in windows])
-    return x, y
+    x = window_view(dataset.frames, dataset.window_length)[dataset.starts]
+    return x, dataset.labels
 
 
 class Workspace:
@@ -408,14 +325,6 @@ def forward_batch(
         return pred, {"x": x, "gates": gates, "c": cs, "h": hs, "tc": tcs,
                       "hcat": hcat, "z": z}
     return pred
-
-
-def model_forward(
-    model: SynchronyModel, window: Window, lookback: int | None = None
-) -> float:
-    """Scalar synchrony prediction for one window (always >= 0)."""
-    x, _ = windows_to_batch([window])
-    return float(forward_batch(model, x, lookback=lookback)[0])
 
 
 def mse_loss(preds, labels) -> float:

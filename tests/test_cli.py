@@ -118,12 +118,62 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["folds"] == 2  # flag wins over file
 
 
-def test_failure_removes_partial_outputs(tmp_path):
-    data = tmp_path / "nodata"
-    data.mkdir()
+def _edit_manifest(data, change):
+    path = data / "manifest.json"
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _one_row_csv(data, monkeypatch):
+    (data / "pair_0000.csv").write_text("frame,x,y\n0,0.5,0.25\n")
+
+
+def _label_twice(data, monkeypatch):
+    path = data / "manifest.json"
+    text = path.read_text()
+    path.write_text(text.replace('"label": ', '"label": 0.5, "label": ', 1))
+
+
+def _diverge(data, monkeypatch):
+    from synchrony import experiments
+
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("numerical overflow in forward pass")
+
+    monkeypatch.setattr(experiments, "loss_and_grads", overflow)
+
+
+def _duplicate_group(doc):
+    doc["pairs"][1]["group_id"] = doc["pairs"][0]["group_id"]
+
+
+FAULTS = {
+    "no-manifest": lambda data, mp: (data / "manifest.json").unlink(),
+    "missing-label": lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][0].pop("label")),
+    "missing-file": lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][2].pop("file")),
+    "one-row-csv": _one_row_csv,
+    "unknown-kind": lambda data, mp: _edit_manifest(
+        data, lambda doc: doc.update(kind="triples")),
+    "duplicate-group-id": lambda data, mp: _edit_manifest(data, _duplicate_group),
+    "duplicate-json-key": _label_twice,
+    "divergence": _diverge,
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_failure_removes_partial_outputs(tmp_path, capsys, monkeypatch, fault):
+    data = datagen_dir(tmp_path)
+    FAULTS[fault](data, monkeypatch)
+    capsys.readouterr()
     out = tmp_path / "f"
     assert run(["kfold", "--data", str(data), "--out", str(out)] + TINY) == 2
-    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def write_group_fixture(tmp_path):

@@ -9,6 +9,7 @@ from synchrony.core import (
     window_count,
     zscore_normalize,
 )
+from synchrony.experiments import build_windowed_dataset
 from conftest import random_sample
 
 
@@ -44,24 +45,31 @@ def test_window_counts():
 def test_extract_windows_count_and_labels():
     s = random_sample(t=1000, label=0.7)
     windows = extract_windows(s, 100, 1)
-    assert len(windows) == 901
-    assert all(w.label == 0.7 for w in windows)
-    assert all(w.group_id == s.group_id for w in windows)
+    assert windows.shape == (901, 100, 2)
+    dataset = build_windowed_dataset([s], 100, 1)
+    assert len(dataset) == 901
+    assert set(dataset.labels.tolist()) == {0.7}
+    assert set(dataset.group_ids.tolist()) == {s.group_id}
 
 
 def test_extract_windows_whole_signal():
     s = random_sample(t=100)
     windows = extract_windows(s, 100, 1)
     assert len(windows) == 1
-    assert windows[0].start_frame == 0
-    np.testing.assert_array_equal(windows[0].data, s.as_array())
+    raw = np.stack([s.participants[k][0].values for k in range(2)], axis=1)
+    np.testing.assert_array_equal(windows[0], raw)
+    assert not windows.flags.writeable
 
 
 def test_extract_windows_starts_are_arithmetic():
     s = random_sample(t=200)
     for stride in (1, 3, 7):
-        starts = [w.start_frame for w in extract_windows(s, 50, stride)]
+        starts = build_windowed_dataset([s], 50, stride).starts.tolist()
         assert starts == list(range(0, starts[-1] + 1, stride))
+        first_frames = extract_windows(s, 50, stride)[:, 0, 0]
+        np.testing.assert_array_equal(
+            first_frames, s.participants[0][0].values[starts]
+        )
 
 
 def test_extract_windows_data_matches_parent():
@@ -75,7 +83,7 @@ def test_extract_windows_data_matches_parent():
         c = int(rng.integers(2))
         j = int(rng.integers(40))
         expected = s.participants[k][c].values[i * stride + j]
-        assert windows[i].data[k][c][j] == expected
+        assert windows[i, j, k * 2 + c] == expected
 
 
 def test_extract_windows_errors():

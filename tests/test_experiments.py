@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synchrony import experiments
-from synchrony.core import InteractionSample, TimeSeries
+from synchrony.core import InteractionSample, TimeSeries, extract_windows, normalize_sample
 from synchrony.experiments import (
     ExperimentConfig,
     build_windowed_dataset,
@@ -19,7 +19,7 @@ from synchrony.experiments import (
     train_experiment,
 )
 from synchrony.generate import gen_dataset
-from synchrony.nn import TrainConfig
+from synchrony.nn import TrainConfig, windows_to_batch
 from conftest import random_sample
 
 
@@ -56,7 +56,48 @@ def test_windowed_dataset_counts():
 
 def test_single_sample_shares_label():
     windows = build_windowed_dataset([random_sample(t=100, label=0.4)], 20, 10)
-    assert {w.label for w in windows} == {0.4}
+    assert set(windows.labels.tolist()) == {0.4}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_windows_match_raw_signal_slices(k, c, stride, normalize):
+    w = 20
+    samples = [
+        random_sample(k=k, c=c, t=t, label=0.1 * (i + 1), group_id=f"g{i}", seed=i)
+        for i, t in enumerate((40, 57, 20))
+    ]
+    dataset = build_windowed_dataset(samples, w, stride, normalize=normalize)
+    x, y = windows_to_batch(dataset)
+
+    def raw(ts):
+        v = ts.values
+        return (v - float(np.mean(v))) / float(np.std(v)) if normalize else v
+
+    want_x, want_y, want_g = [], [], []
+    for s in samples:
+        # participant-major columns: k * C + c
+        signals = [raw(ts) for part in s.participants for ts in part]
+        starts = range(0, s.n_frames - w + 1, stride)
+        rows = [np.stack([v[st : st + w] for v in signals], axis=1) for st in starts]
+        sample = normalize_sample(s) if normalize else s
+        view = extract_windows(sample, w, stride)
+        assert np.array_equal(view, np.array(rows))
+        assert not view.flags.writeable
+        want_x += rows
+        want_y += [s.label] * len(rows)
+        want_g += [s.group_id] * len(rows)
+    assert np.array_equal(x, np.array(want_x))
+    assert x.flags.c_contiguous
+    assert np.array_equal(y, np.array(want_y))
+    assert dataset.group_ids.tolist() == want_g
+    # a selection keeps the chosen windows in order
+    mask = dataset.group_ids != "g1"
+    x_sel, y_sel = windows_to_batch(dataset.select(mask))
+    assert np.array_equal(x_sel, x[mask])
+    assert np.array_equal(y_sel, y[mask])
 
 
 def test_windowed_dataset_rejects_mixed_dims():

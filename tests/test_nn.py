@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from synchrony.core import Window
 from synchrony.nn import (
-    LstmCellParams,
     ModelFormatError,
     Optimizer,
     SynchronyModel,
     TrainConfig,
-    cell_step,
     clip_by_global_norm,
     finite_difference_grads,
     forward_batch,
@@ -16,20 +13,9 @@ from synchrony.nn import (
     init_model,
     load_model,
     loss_and_grads,
-    model_forward,
     mse_loss,
     save_model,
-    windows_to_batch,
 )
-
-
-def zero_cell(hidden=2, inputs=3):
-    z = lambda *shape: np.zeros(shape)
-    return LstmCellParams(
-        *(z(hidden, inputs) for _ in range(4)),
-        *(z(hidden, hidden) for _ in range(4)),
-        *(z(hidden) for _ in range(4)),
-    )
 
 
 def zero_model(input_size=2, n=2, hidden=3):
@@ -42,111 +28,120 @@ def zero_model(input_size=2, n=2, hidden=3):
     )
 
 
-def random_windows(n_windows, k=2, c=1, w=5, seed=0, labels=None):
+def random_batch(n_windows, k=2, c=1, w=5, seed=0, labels=None):
+    """(n_windows, w, k*c) inputs and (n_windows,) labels."""
     rng = np.random.default_rng(seed)
     if labels is None:
         labels = rng.uniform(0.1, 0.9, n_windows)
-    return [
-        Window(0, rng.standard_normal((k, c, w)), float(labels[i]))
-        for i in range(n_windows)
-    ]
+    x = rng.standard_normal((n_windows, k * c, w)).transpose(0, 2, 1)
+    return np.ascontiguousarray(x), np.asarray(labels, dtype=np.float64)
 
 
-# cell step
+def one_step_state(model, x_t):
+    """(h, c) of every LSTM after one step from the zero state, batch of 1."""
+    _, cache = forward_batch(model, x_t.reshape(1, 1, -1), lookback=1, want_cache=True)
+    return cache["h"][1][:, 0].copy(), cache["c"][1][:, 0].copy()
 
 
-def test_cell_step_zero_params():
-    cell = zero_cell()
-    h, c = cell_step(cell, np.ones(3), np.zeros(2), np.zeros(2))
+# LSTM step, through forward_batch at batch size 1
+
+
+def test_lstm_step_zero_params():
+    h, c = one_step_state(zero_model(input_size=3, n=1, hidden=2), np.ones(3))
     np.testing.assert_array_equal(h, 0)
     np.testing.assert_array_equal(c, 0)
 
 
-def test_cell_step_saturated_gates():
-    cell = LstmCellParams(
-        *(np.zeros((1, 1)) for _ in range(4)),
-        *(np.zeros((1, 1)) for _ in range(4)),
-        np.array([30.0]),  # input gate wide open
-        np.array([30.0]),  # forget gate (irrelevant, c_prev = 0)
-        np.array([30.0]),  # candidate saturated at tanh(30) ~ 1
-        np.array([0.0]),
+def test_lstm_step_saturated_gates():
+    # gate order i, f, g, o: input gate wide open, forget gate irrelevant
+    # (c_prev = 0), candidate saturated at tanh(30) ~ 1
+    m = SynchronyModel(
+        wx=np.zeros((1, 4, 1)),
+        rh=np.zeros((1, 4, 1)),
+        b=np.array([[30.0, 30.0, 30.0, 0.0]]),
+        head_w=np.zeros(1),
+        head_b=0.0,
     )
-    _, c = cell_step(cell, np.zeros(1), np.zeros(1), np.zeros(1))
-    assert c[0] == pytest.approx(1.0, abs=1e-9)
+    _, c = one_step_state(m, np.zeros(1))
+    assert c[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_cell_step_zero_input_fixed_point():
+def test_lstm_step_zero_input_fixed_point():
     rng = np.random.default_rng(7)
-    cell = LstmCellParams(
-        *(rng.normal(scale=0.5, size=(4, 3)) for _ in range(4)),
-        *(rng.normal(scale=0.5, size=(4, 4)) for _ in range(4)),
-        *(rng.normal(scale=0.5, size=4) for _ in range(4)),
+    m = SynchronyModel(
+        wx=rng.normal(scale=0.5, size=(1, 16, 3)),
+        rh=rng.normal(scale=0.5, size=(1, 16, 4)),
+        b=rng.normal(scale=0.5, size=(1, 16)),
+        head_w=np.zeros(4),
+        head_b=0.0,
     )
-    h = np.zeros(4)
-    c = np.zeros(4)
-    prev = None
-    for _ in range(5000):
-        prev = (h, c)
-        h, c = cell_step(cell, np.zeros(3), h, c)
-    assert np.linalg.norm(np.concatenate([h - prev[0], c - prev[1]])) < 1e-9
+    steps = 5000
+    _, cache = forward_batch(m, np.zeros((1, steps, 3)), lookback=steps, want_cache=True)
+    h, c = cache["h"], cache["c"]
+    delta = np.concatenate([h[steps] - h[steps - 1], c[steps] - c[steps - 1]], axis=None)
+    assert np.linalg.norm(delta) < 1e-9
 
 
-def test_cell_step_dimension_mismatch():
+def test_lstm_step_dimension_mismatch():
     with pytest.raises(ValueError):
-        cell_step(zero_cell(), np.ones(4), np.zeros(2), np.zeros(2))
+        one_step_state(zero_model(input_size=3, n=1, hidden=2), np.ones(4))
 
 
 # forward
 
 
 def test_zero_model_predicts_zero():
-    m = zero_model()
-    for w in random_windows(3):
-        assert model_forward(m, w, lookback=5) == 0.0
+    x, _ = random_batch(3)
+    np.testing.assert_array_equal(forward_batch(zero_model(), x, lookback=5), 0.0)
 
 
 def test_constant_head_bias():
     m = zero_model()
     m = SynchronyModel(m.wx, m.rh, m.b, m.head_w, 5.0)
-    for w in random_windows(3, seed=2):
-        assert model_forward(m, w, lookback=5) == 5.0
+    x, _ = random_batch(3, seed=2)
+    np.testing.assert_array_equal(forward_batch(m, x, lookback=5), 5.0)
 
 
 def test_forward_depends_on_input():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=1)
-    preds = {round(model_forward(m, w, lookback=5), 12) for w in random_windows(8, seed=3)}
+    x, _ = random_batch(8, seed=3)
+    preds = {round(float(p), 12) for p in forward_batch(m, x, lookback=5)}
     assert len(preds) > 1
 
 
 def test_forward_nonnegative():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=5)
-    for w in random_windows(20, seed=6):
-        assert model_forward(m, w, lookback=5) >= 0.0
+    x, _ = random_batch(20, seed=6)
+    assert np.all(forward_batch(m, x, lookback=5) >= 0.0)
 
 
 def test_forward_deterministic_and_stateless():
     m = init_model(2, n_lstms=2, hidden_size=4, seed=2)
-    windows = random_windows(4, seed=9)
-    first = [model_forward(m, w, lookback=5) for w in windows]
+    x, _ = random_batch(4, seed=9)
+
+    def predict(i):
+        return forward_batch(m, x[i : i + 1], lookback=5)[0]
+
+    first = [predict(i) for i in range(4)]
     # predicting again, and in reverse order, gives bit-identical results
-    again = [model_forward(m, w, lookback=5) for w in windows]
-    rev = [model_forward(m, w, lookback=5) for w in reversed(windows)][::-1]
+    again = [predict(i) for i in range(4)]
+    rev = [predict(i) for i in reversed(range(4))][::-1]
     assert first == again == rev
 
 
 def test_forward_uses_final_lookback_frames():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=4)
     rng = np.random.default_rng(0)
-    tail = rng.standard_normal((2, 1, 5))
-    w_long = Window(0, np.concatenate([rng.standard_normal((2, 1, 7)), tail], axis=2), 0.5)
-    w_tail = Window(0, tail, 0.5)
-    assert model_forward(m, w_long, lookback=5) == model_forward(m, w_tail, lookback=5)
+    tail = rng.standard_normal((1, 5, 2))
+    x_long = np.concatenate([rng.standard_normal((1, 7, 2)), tail], axis=1)
+    assert forward_batch(m, x_long, lookback=5)[0] == forward_batch(m, tail, lookback=5)[0]
 
 
 def test_forward_dimension_mismatch():
     m = init_model(3, n_lstms=2, hidden_size=3, seed=0)
+    x, _ = random_batch(1)
     with pytest.raises(ValueError):
-        model_forward(m, random_windows(1)[0], lookback=5)
+        forward_batch(m, x, lookback=5)
 
 
 # loss
@@ -163,8 +158,8 @@ def test_mse_examples():
 # gradients
 
 
-def grad_check(model, windows, lookback=5, eps=1e-5, tol=1e-4):
-    x, y = windows_to_batch(windows)
+def grad_check(model, batch, lookback=5, eps=1e-5, tol=1e-4):
+    x, y = batch
     _, analytic = loss_and_grads(model, x, y, lookback=lookback)
     numeric = finite_difference_grads(model, x, y, lookback=lookback, eps=eps)
     for key in analytic:
@@ -176,18 +171,17 @@ def grad_check(model, windows, lookback=5, eps=1e-5, tol=1e-4):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bptt_matches_finite_differences(seed):
     m = init_model(2, n_lstms=2, hidden_size=3, seed=seed)
-    grad_check(m, random_windows(4, seed=seed + 100))
+    grad_check(m, random_batch(4, seed=seed + 100))
 
 
 def test_bptt_matches_finite_differences_relu_cell():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=3, cell_activation="relu")
-    grad_check(m, random_windows(4, seed=50))
+    grad_check(m, random_batch(4, seed=50))
 
 
 def test_zero_loss_zero_gradients():
     m = zero_model()
-    windows = random_windows(4, labels=np.zeros(4))
-    x, y = windows_to_batch(windows)
+    x, y = random_batch(4, labels=np.zeros(4))
     _, grads = loss_and_grads(m, x, y, lookback=5)
     for g in grads.values():
         np.testing.assert_array_equal(g, 0)
@@ -195,8 +189,7 @@ def test_zero_loss_zero_gradients():
 
 def test_duplicated_batch_same_mean_gradient():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=8)
-    windows = random_windows(4, seed=60)
-    x, y = windows_to_batch(windows)
+    x, y = random_batch(4, seed=60)
     x2 = np.concatenate([x, x])
     y2 = np.concatenate([y, y])
     _, g1 = loss_and_grads(m, x, y, lookback=5)
@@ -248,8 +241,7 @@ def test_global_norm_clipping():
 
 
 def test_loss_decreases_on_toy_dataset():
-    windows = random_windows(20, seed=77)
-    x, y = windows_to_batch(windows)
+    x, y = random_batch(20, seed=77)
     successes = 0
     for seed in range(5):
         m = init_model(2, n_lstms=2, hidden_size=4, seed=seed)
@@ -323,15 +315,21 @@ def test_float32_storage_round_trips_at_reduced_precision(tmp_path):
 
 def test_cells_round_trip_packed_layout():
     m = init_model(3, n_lstms=2, hidden_size=4, seed=21)
-    cells = m.cells
-    assert len(cells) == 2
-    assert cells[0].hidden_size == 4
-    assert cells[0].input_size == 3
+    hh = 4
     # forget-gate bias init
-    np.testing.assert_array_equal(cells[0].b_forget, np.ones(4))
-    # cell_step on unpacked params matches one step of the packed forward
-    data = np.random.default_rng(1).standard_normal((3, 1, 1))
-    xvec = data.reshape(3)
-    h_ref, c_ref = cell_step(cells[0], xvec, np.zeros(4), np.zeros(4))
-    pred, cache = forward_batch(m, data.reshape(1, 1, 3), lookback=1, want_cache=True)
-    np.testing.assert_allclose(cache["c"][1][0, 0], c_ref, atol=1e-12)
+    np.testing.assert_array_equal(m.b[:, hh : 2 * hh], 1.0)
+    # one step of the packed forward matches each cell's step written out
+    # from its slices of wx, rh and b (gate order i, f, g, o)
+    xvec = np.random.default_rng(1).standard_normal(3)
+    h, c = one_step_state(m, xvec)
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    for n in range(2):
+        pre = m.wx[n] @ xvec + m.rh[n] @ np.zeros(hh) + m.b[n]
+        i, f, g, o = (pre[k * hh : (k + 1) * hh] for k in range(4))
+        c_ref = sigmoid(f) * 0.0 + sigmoid(i) * np.tanh(g)
+        h_ref = sigmoid(o) * np.tanh(c_ref)
+        np.testing.assert_allclose(c[n], c_ref, atol=1e-12)
+        np.testing.assert_allclose(h[n], h_ref, atol=1e-12)
