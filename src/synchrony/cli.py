@@ -1,18 +1,27 @@
 """Command-line entry point.
 
 Subcommands: datagen, train, kfold, baseline, sweep, ingest, annotate.
-Every run writes a manifest (resolved config, seed, input hashes, output
-paths) next to its outputs; re-running with the same inputs and seed
-reproduces the result files bit-for-bit. A failed command prints an
-``error:`` line, exits 2 and removes its partial outputs, and the output
-directory too if it created it.
+Each setting is declared once, in ``_SETTINGS``: its flag ``--key`` (dashes
+for underscores), its config-file key ``key``, its type or choices and its
+default. An experiment setting names the ``ExperimentConfig`` or
+``TrainConfig`` field it sets, and that field's dataclass default is its
+only default. A ``--config`` JSON file is checked against the same types
+and choices as the flags, a key the command does not take is an error,
+and flags override file values.
+
+Every run writes a manifest (the resolved config with every default filled
+in, input hashes, output paths) next to its outputs; re-running with the
+same inputs and seed reproduces the result files bit-for-bit. A failed
+command prints an ``error:`` line, exits 2 and removes its partial
+outputs, and the output directory too if it created it.
 
 Dataset directories carry a ``manifest.json`` of one of two kinds:
   - ``{"kind": "pairs", "pairs": [{"file": ..., "label": ...}, ...]}``
     with per-pair CSVs (columns frame,x,y), as written by ``datagen``.
   - ``{"kind": "groups", "groups": {gid: [au_csv, ...]}, "labels":
     {gid: score}, "top_aus": int}`` referencing AU CSVs, as written by
-    ``ingest``.
+    ``ingest``. ``ingest`` reads the same groups and labels, as two files,
+    through the same validated loader.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +50,11 @@ from .experiments import (
 )
 from .generate import GeneratedPair, gen_dataset, preset_pairs
 from .ingest import (
+    AuRecording,
     aggregate_annotations,
     group_to_sample,
     load_annotation_csv,
     load_au_csv,
-    load_group_manifest,
     select_top_aus,
 )
 from .nn import TrainConfig, save_model
@@ -55,6 +66,88 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
         self.code = code
+
+
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting: flag ``--key`` and config-file key ``key``.
+
+    ``fields`` are the ``ExperimentConfig`` fields it sets (``train.x`` for
+    a ``TrainConfig`` field); the first one's dataclass default is then the
+    default, and the setting is always recorded. Otherwise ``default`` is
+    the default, ``_REQUIRED``, or None for a setting left out unless given.
+    A bool setting is a flag that sets True.
+    """
+
+    key: str
+    type: type
+    default: object = None
+    choices: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
+    help: str | None = None
+
+    def __post_init__(self):
+        if self.fields:
+            default = attrgetter(self.fields[0])(ExperimentConfig())
+            object.__setattr__(self, "default", default)
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def check(self, value, where: str):
+        """A config-file value, checked as the flag checks it."""
+        if value is None and self.default is None:
+            return None
+        if self.type is float and type(value) is int:
+            value = float(value)
+        if type(value) is not self.type:
+            raise CliError(f"{where}: {self.key!r} must be {_KINDS[self.type]}, "
+                           f"not {value!r}")
+        if self.choices and value not in self.choices:
+            raise CliError(f"{where}: {self.key!r} must be one of "
+                           f"{', '.join(self.choices)}, not {value!r}")
+        return value
+
+
+_SETTINGS = {s.key: s for s in (
+    Setting("seed", int, fields=("seed", "train.seed")),
+    Setting("pairs", int, 100),
+    Setting("len", int, 1000),
+    Setting("phi_range", str, "0.1:0.9", help="LO:HI coupling range"),
+    Setting("preset", str, choices=("stationary", "shifted", "trended")),
+    Setting("data", str, _REQUIRED, help="dataset directory with manifest.json"),
+    Setting("window", int, fields=("window_length",)),
+    Setting("stride", int, fields=("stride",)),
+    Setting("train_fraction", float, fields=("train_fraction",)),
+    Setting("folds", int, fields=("n_folds",)),
+    Setting("fold_test_size", int, fields=("fold_test_size",)),
+    Setting("learning_rate", float, fields=("train.learning_rate",)),
+    Setting("epochs", int, fields=("train.epochs",)),
+    Setting("batch_size", int, fields=("train.batch_size",)),
+    Setting("optimizer", str, choices=("adam", "sgd"), fields=("train.optimizer",)),
+    Setting("clip_norm", float, fields=("train.clip_norm",)),
+    Setting("hidden_size", int, fields=("train.hidden_size",)),
+    Setting("lstms", int, fields=("train.n_lstms",)),
+    Setting("lookback", int, fields=("train.lookback",)),
+    Setting("cell_activation", str, choices=("tanh", "relu"),
+            fields=("train.cell_activation",)),
+    Setting("aggregation", str, choices=("mean", "median"), fields=("aggregation",)),
+    Setting("normalize", bool, fields=("normalize",)),
+    Setting("counts", str, "1:9", help="e.g. 1:9 or 1,3,5"),
+    Setting("manifest", str, _REQUIRED, help="group manifest JSON"),
+    Setting("labels", str, _REQUIRED, help="per-group labels JSON"),
+    Setting("top_aus", int, 3),
+    Setting("scores", str, _REQUIRED, help="annotation CSV"),
+    Setting("threshold", float, 1.0),
+    Setting("pooled", bool, False),
+)}
+
+_EXPERIMENT = ("data", *(key for key, s in _SETTINGS.items() if s.fields))
 
 
 def _sha256(path: Path) -> str:
@@ -114,6 +207,9 @@ class RunContext:
         path.write_text(text)
         return path
 
+    def write_json(self, name: str, doc, sort_keys: bool = False) -> Path:
+        return self.write_text(name, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
     def finalize(self) -> Path:
         manifest = {
             "command": self.command,
@@ -140,29 +236,58 @@ class RunContext:
                 pass
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid config file: {exc}")
-    if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that rejects a JSON object naming a key twice,
+    which ``json.loads`` would otherwise resolve by keeping the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
     return doc
 
 
-def _resolve(args, keys: list[str]) -> dict:
-    """File config overridden by explicitly passed flags."""
-    cfg = dict(_load_config_file(getattr(args, "config", None)))
-    for key in keys:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _read_json(path: Path):
+    """A JSON file's document; invalid JSON or an object naming a key twice
+    raises CliError."""
+    try:
+        return json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _resolve(args) -> tuple[dict, ExperimentConfig | None]:
+    """The command's settings, checked: config-file values overridden by
+    flags, then defaults; and, for an experiment command, the
+    ``ExperimentConfig`` they set."""
+    settings = [_SETTINGS[key] for key in _COMMANDS[args.command][2]]
+    cfg = {}
+    if args.config is not None:
+        path = Path(args.config)
+        cfg = _read_json(path)
+        if not isinstance(cfg, dict):
+            raise CliError(f"{path}: config file must hold a JSON object")
+        by_key = {s.key: s for s in settings}
+        for key, value in cfg.items():
+            if key not in by_key:
+                raise CliError(f"{path}: {args.command} takes no setting {key!r}")
+            cfg[key] = by_key[key].check(value, str(path))
+    for s in settings:
+        if getattr(args, s.key) is not None:
+            cfg[s.key] = getattr(args, s.key)
+    for s in settings:
+        if s.key not in cfg:
+            if s.default is _REQUIRED:
+                raise CliError(f"{s.flag} is required")
+            if s.default is not None or s.fields:
+                cfg[s.key] = s.default
+    if "data" not in cfg:  # datagen, ingest and annotate run no experiment
+        return cfg, None
+    fields: dict[str, dict] = {"": {}, "train": {}}
+    for s in settings:
+        for f in s.fields:
+            part, _, name = f.rpartition(".")
+            fields[part][name] = cfg[s.key]
+    return cfg, ExperimentConfig(train=TrainConfig(**fields["train"]), **fields[""])
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -184,21 +309,10 @@ def _parse_counts(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` that rejects a JSON object naming a key twice,
-    which ``json.loads`` would otherwise resolve by keeping the last."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return doc
-
-
 def _label(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{where}: label {value!r} is not a number") from None
+    if type(value) not in (int, float):  # not a bool, a string or null
+        raise CliError(f"{where}: label {value!r} is not a number")
+    return float(value)
 
 
 def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
@@ -220,6 +334,34 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
     )
 
 
+def _load_groups(
+    base: Path, groups, labels, top_aus, where: str, ctx
+) -> list[tuple[InteractionSample, list[AuRecording]]]:
+    """Each group of a groups mapping ({gid: [AU CSV relative to base, ...]})
+    as a labelled sample of its ``top_aus`` most active AUs, with its
+    recordings. A malformed mapping, labels object or ``top_aus`` raises
+    CliError."""
+    if not isinstance(groups, dict) or not isinstance(labels, dict):
+        raise CliError(f"{where}: 'groups' and 'labels' must be objects")
+    if type(top_aus) is not int or top_aus < 1:
+        raise CliError(f"{where}: 'top_aus' must be a positive integer, not {top_aus!r}")
+    loaded = []
+    for gid, files in groups.items():
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise CliError(f"{where}: group {gid!r} must list its AU CSV paths")
+        if gid not in labels:
+            raise CliError(f"{where}: no label for group {gid!r}")
+        label = _label(labels[gid], f"{where}: group {gid!r}")
+        recs = []
+        for f in files:
+            path = base / f
+            if ctx:
+                ctx.record_input(path)
+            recs.append(load_au_csv(path, group_id=gid))
+        loaded.append((group_to_sample(recs, label, gid, k=top_aus), recs))
+    return loaded
+
+
 def load_dataset(data_dir, ctx: RunContext | None = None) -> list[InteractionSample]:
     """Read a pairs- or groups-kind dataset directory into samples.
 
@@ -232,10 +374,7 @@ def load_dataset(data_dir, ctx: RunContext | None = None) -> list[InteractionSam
         raise CliError(f"no manifest.json in {data_dir}")
     if ctx:
         ctx.record_input(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text(), object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        raise CliError(f"{manifest_path}: invalid JSON: {exc}") from None
+    doc = _read_json(manifest_path)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "pairs":
         entries = doc.get("pairs")
@@ -246,22 +385,9 @@ def load_dataset(data_dir, ctx: RunContext | None = None) -> list[InteractionSam
             for i, entry in enumerate(entries)
         ]
     elif kind == "groups":
-        groups, labels = doc.get("groups"), doc.get("labels")
-        if not isinstance(groups, dict) or not isinstance(labels, dict):
-            raise CliError(f"{manifest_path}: 'groups' and 'labels' must be objects")
-        k = int(doc.get("top_aus", 3))
-        samples = []
-        for gid, files in groups.items():
-            if gid not in labels:
-                raise CliError(f"{manifest_path}: no label for group {gid!r}")
-            recs = []
-            for f in files:
-                path = data_dir / f
-                if ctx:
-                    ctx.record_input(path)
-                recs.append(load_au_csv(path, group_id=gid))
-            label = _label(labels[gid], f"{manifest_path}: group {gid!r}")
-            samples.append(group_to_sample(recs, label, gid, k=k))
+        top_aus = doc.get("top_aus", _SETTINGS["top_aus"].default)
+        samples = [s for s, _ in _load_groups(data_dir, doc.get("groups"), doc.get("labels"),
+                                              top_aus, str(manifest_path), ctx)]
     else:
         raise CliError(f"unknown dataset kind {kind!r} in {manifest_path}")
     seen = set()
@@ -272,34 +398,6 @@ def load_dataset(data_dir, ctx: RunContext | None = None) -> list[InteractionSam
     return samples
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    train = TrainConfig(
-        learning_rate=float(cfg.get("learning_rate", 1e-3)),
-        epochs=int(cfg.get("epochs", 50)),
-        batch_size=int(cfg.get("batch_size", 64)),
-        optimizer=str(cfg.get("optimizer", "adam")),
-        clip_norm=float(cfg.get("clip_norm", 5.0)),
-        seed=int(cfg.get("seed", 0)),
-        hidden_size=int(cfg.get("hidden_size", 32)),
-        n_lstms=int(cfg.get("lstms", 6)),
-        lookback=int(cfg.get("lookback", 30)),
-        cell_activation=str(cfg.get("cell_activation", "tanh")),
-    )
-    return ExperimentConfig(
-        window_length=int(cfg.get("window", 100)),
-        stride=int(cfg.get("stride", 1)),
-        train_fraction=float(cfg.get("train_fraction", 0.8)),
-        n_folds=int(cfg.get("folds", 5)),
-        train=train,
-        seed=int(cfg.get("seed", 0)),
-        aggregation=str(cfg.get("aggregation", "mean")),
-        normalize=bool(cfg.get("normalize", False)),
-        fold_test_size=(
-            int(cfg["fold_test_size"]) if cfg.get("fold_test_size") else None
-        ),
-    )
-
-
 def _write_pair_csv(path: Path, pair: GeneratedPair) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -308,58 +406,22 @@ def _write_pair_csv(path: Path, pair: GeneratedPair) -> None:
             writer.writerow([t, repr(float(xv)), repr(float(yv))])
 
 
-def cmd_datagen(args) -> int:
-    cfg = _resolve(args, ["pairs", "len", "phi_range", "seed", "preset"])
-    cfg.setdefault("pairs", 100)
-    cfg.setdefault("len", 1000)
-    cfg.setdefault("phi_range", "0.1:0.9")
-    cfg.setdefault("seed", 0)
-    with RunContext("datagen", Path(args.out), cfg) as ctx:
-        entries = []
-        if cfg.get("preset"):
-            pair = preset_pairs(cfg["preset"], int(cfg["seed"]), int(cfg["len"]))
-            name = f"{cfg['preset']}.csv"
+def cmd_datagen(ctx: RunContext, _: None) -> None:
+    cfg = ctx.config
+    entries = []
+    if cfg.get("preset"):
+        pair = preset_pairs(cfg["preset"], cfg["seed"], cfg["len"])
+        name = f"{cfg['preset']}.csv"
+        _write_pair_csv(ctx.output(name), pair)
+        entries.append({"file": name, "label": pair.coupling, "group_id": cfg["preset"]})
+    else:
+        lo, hi = _parse_range(cfg["phi_range"])
+        for i, pair in enumerate(gen_dataset(cfg["pairs"], cfg["len"], (lo, hi), cfg["seed"])):
+            name = f"pair_{i:04d}.csv"
             _write_pair_csv(ctx.output(name), pair)
-            entries.append({"file": name, "label": pair.coupling,
-                            "group_id": cfg["preset"]})
-        else:
-            lo, hi = _parse_range(str(cfg["phi_range"]))
-            dataset = gen_dataset(
-                int(cfg["pairs"]), int(cfg["len"]), (lo, hi), int(cfg["seed"])
-            )
-            for i, pair in enumerate(dataset):
-                name = f"pair_{i:04d}.csv"
-                _write_pair_csv(ctx.output(name), pair)
-                entries.append(
-                    {"file": name, "label": pair.coupling, "group_id": f"pair_{i:04d}"}
-                )
-        ctx.write_text(
-            "manifest.json",
-            json.dumps(
-                {"kind": "pairs", "seed": int(cfg["seed"]), "config": cfg,
-                 "pairs": entries},
-                indent=2,
-            )
-            + "\n",
-        )
-    return 0
-
-
-_EXPERIMENT_KEYS = [
-    "window", "stride", "train_fraction", "folds", "seed", "aggregation",
-    "normalize", "fold_test_size", "learning_rate", "epochs", "batch_size",
-    "optimizer", "clip_norm", "hidden_size", "lstms", "lookback",
-    "cell_activation",
-]
-
-
-def _experiment_context(
-    args, command: str, extra_keys: tuple[str, ...] = ()
-) -> tuple[RunContext, ExperimentConfig]:
-    cfg = _resolve(args, _EXPERIMENT_KEYS + ["data", *extra_keys])
-    if "data" not in cfg:
-        raise CliError("--data is required")
-    return RunContext(command, Path(args.out), cfg), _experiment_config(cfg)
+            entries.append({"file": name, "label": pair.coupling, "group_id": f"pair_{i:04d}"})
+    ctx.write_json("manifest.json", {"kind": "pairs", "seed": cfg["seed"], "config": cfg,
+                                     "pairs": entries})
 
 
 def _windowed(samples, config: ExperimentConfig):
@@ -368,152 +430,95 @@ def _windowed(samples, config: ExperimentConfig):
     )
 
 
-def cmd_train(args) -> int:
-    ctx, config = _experiment_context(args, "train")
-    with ctx:
-        samples = load_dataset(ctx.config["data"], ctx)
-        model, history = train_experiment(_windowed(samples, config), config)
-        save_model(model, ctx.output("model.json"))
-        ctx.write_text(
-            "history.json",
-            json.dumps(
-                {"epochs": list(history.epochs), "best_epoch": history.best_epoch},
-                indent=2,
-            )
-            + "\n",
-        )
-    return 0
+def cmd_train(ctx: RunContext, config: ExperimentConfig) -> None:
+    samples = load_dataset(ctx.config["data"], ctx)
+    model, history = train_experiment(_windowed(samples, config), config)
+    save_model(model, ctx.output("model.json"))
+    ctx.write_json("history.json",
+                   {"epochs": list(history.epochs), "best_epoch": history.best_epoch})
 
 
-def cmd_kfold(args) -> int:
-    ctx, config = _experiment_context(args, "kfold")
-    with ctx:
-        _run_kfold(ctx, config, with_baseline=False)
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    ctx, config = _experiment_context(args, "baseline")
-    with ctx:
-        _run_kfold(ctx, config, with_baseline=True)
-    return 0
-
-
-def _run_kfold(ctx, config, with_baseline: bool) -> None:
+def cmd_kfold(ctx: RunContext, config: ExperimentConfig) -> None:
+    """``kfold``, and ``baseline``, which adds the chimeric-group control."""
     samples = load_dataset(ctx.config["data"], ctx)
     fold_results, report = kfold_cv(samples, config)
     ctx.write_text("report.json", report.to_json() + "\n")
     table = report.to_table("5-Fold validation")
-    if with_baseline:
+    if ctx.command == "baseline":
         baseline = permutation_baseline(samples, fold_results, config)
         ctx.write_text("baseline_report.json", baseline.to_json() + "\n")
         table += "\n" + baseline.to_table("Random").splitlines()[1]
     ctx.write_text("table.txt", table + "\n")
-    folds_doc = [
+    ctx.write_json("folds.json", [
         {
             "fold": fr.fold,
             "test_groups": list(fr.test_group_ids),
             "per_group": [
-                {"group_id": g, "truth": y, "prediction": p}
-                for g, y, p in fr.per_group
+                {"group_id": g, "truth": y, "prediction": p} for g, y, p in fr.per_group
             ],
         }
         for fr in fold_results
-    ]
-    ctx.write_text("folds.json", json.dumps(folds_doc, indent=2) + "\n")
+    ])
 
 
-def cmd_sweep(args) -> int:
-    ctx, config = _experiment_context(args, "sweep", ("counts",))
-    ctx.config.setdefault("counts", "1:9")
-    with ctx:
-        samples = load_dataset(ctx.config["data"], ctx)
-        counts = _parse_counts(str(ctx.config["counts"]))
-        rows = sweep_lstm_count(_windowed(samples, config), counts, config)
-        lines = ["count,train_error,val_error"]
-        lines += [
-            f"{r['count']},{r['train_error']!r},{r['val_error']!r}" for r in rows
-        ]
-        ctx.write_text("sweep.csv", "\n".join(lines) + "\n")
-    return 0
+def cmd_sweep(ctx: RunContext, config: ExperimentConfig) -> None:
+    samples = load_dataset(ctx.config["data"], ctx)
+    counts = _parse_counts(ctx.config["counts"])
+    rows = sweep_lstm_count(_windowed(samples, config), counts, config)
+    lines = ["count,train_error,val_error"]
+    lines += [f"{r['count']},{r['train_error']!r},{r['val_error']!r}" for r in rows]
+    ctx.write_text("sweep.csv", "\n".join(lines) + "\n")
 
 
-def cmd_ingest(args) -> int:
-    cfg = _resolve(args, ["manifest", "labels", "top_aus"])
-    if "manifest" not in cfg or "labels" not in cfg:
-        raise CliError("--manifest and --labels are required")
-    cfg.setdefault("top_aus", 3)
-    with RunContext("ingest", Path(args.out), cfg) as ctx:
-        manifest_path = ctx.record_input(cfg["manifest"])
-        groups = load_group_manifest(manifest_path)
-        labels_path = ctx.record_input(cfg["labels"])
-        labels = json.loads(Path(labels_path).read_text())
-        base = manifest_path.parent
-        summary = {}
-        out_groups = {}
-        for gid, files in groups.items():
-            if gid not in labels:
-                raise CliError(f"no label for group {gid}")
-            recs = []
-            for f in files:
-                path = base / f
-                ctx.record_input(path)
-                recs.append(load_au_csv(path, group_id=gid))
-            sample = group_to_sample(
-                recs, float(labels[gid]), gid, k=int(cfg["top_aus"])
-            )
-            summary[gid] = {
-                "participants": sample.n_participants,
-                "frames": sample.n_frames,
-                "label": sample.label,
-                "selected_aus": select_top_aus(recs, k=int(cfg["top_aus"])),
-            }
-            out_groups[gid] = [str((base / f).resolve()) for f in files]
-        ctx.write_text(
-            "manifest.json",
-            json.dumps(
-                {
-                    "kind": "groups",
-                    "groups": out_groups,
-                    "labels": {g: float(labels[g]) for g in groups},
-                    "top_aus": int(cfg["top_aus"]),
-                },
-                indent=2,
-            )
-            + "\n",
-        )
-        ctx.write_text("summary.json", json.dumps(summary, indent=2) + "\n")
-    return 0
+def cmd_ingest(ctx: RunContext, _: None) -> None:
+    cfg = ctx.config
+    manifest_path = ctx.record_input(cfg["manifest"])
+    labels_path = ctx.record_input(cfg["labels"])
+    groups = _read_json(manifest_path)
+    base = manifest_path.parent
+    loaded = _load_groups(base, groups, _read_json(labels_path), cfg["top_aus"],
+                          f"{manifest_path}, {labels_path}", ctx)
+    ctx.write_json("manifest.json", {
+        "kind": "groups",
+        "groups": {s.group_id: [str((base / f).resolve()) for f in groups[s.group_id]]
+                   for s, _ in loaded},
+        "labels": {s.group_id: s.label for s, _ in loaded},
+        "top_aus": cfg["top_aus"],
+    })
+    ctx.write_json("summary.json", {
+        s.group_id: {
+            "participants": s.n_participants,
+            "frames": s.n_frames,
+            "label": s.label,
+            "selected_aus": select_top_aus(recs, k=cfg["top_aus"]),
+        }
+        for s, recs in loaded
+    })
 
 
-def cmd_annotate(args) -> int:
-    cfg = _resolve(args, ["scores", "threshold", "pooled"])
-    if "scores" not in cfg:
-        raise CliError("--scores is required")
-    cfg.setdefault("threshold", 1.0)
-    cfg.setdefault("pooled", False)
-    with RunContext("annotate", Path(args.out), cfg) as ctx:
-        scores_path = ctx.record_input(cfg["scores"])
-        sets = load_annotation_csv(scores_path)
-        labels, flagged, removed = aggregate_annotations(
-            sets,
-            variance_threshold=float(cfg["threshold"]),
-            pooled=bool(cfg["pooled"]),
-        )
-        ctx.write_text(
-            "labels.json",
-            json.dumps(
-                {
-                    "labels": labels,
-                    "flagged_groups": flagged,
-                    "removed_labeler": removed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-    return 0
+def cmd_annotate(ctx: RunContext, _: None) -> None:
+    cfg = ctx.config
+    sets = load_annotation_csv(ctx.record_input(cfg["scores"]))
+    labels, flagged, removed = aggregate_annotations(
+        sets, variance_threshold=cfg["threshold"], pooled=cfg["pooled"]
+    )
+    ctx.write_json("labels.json", {"labels": labels, "flagged_groups": flagged,
+                                   "removed_labeler": removed}, sort_keys=True)
+
+
+# name: (function, help, the keys of its settings in _SETTINGS)
+_COMMANDS = {
+    "datagen": (cmd_datagen, "generate coupled signal pairs",
+                ("pairs", "len", "phi_range", "seed", "preset")),
+    "train": (cmd_train, "train one model on a dataset", _EXPERIMENT),
+    "kfold": (cmd_kfold, "group-level k-fold cross-validation", _EXPERIMENT),
+    "baseline": (cmd_kfold, "k-fold plus chimeric-group control", _EXPERIMENT),
+    "sweep": (cmd_sweep, "sweep the number of LSTM networks", _EXPERIMENT + ("counts",)),
+    "ingest": (cmd_ingest, "validate AU CSVs and build a dataset",
+               ("manifest", "labels", "top_aus", "seed")),
+    "annotate": (cmd_annotate, "aggregate multi-annotator scores",
+                 ("scores", "threshold", "pooled", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,79 +529,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, help_, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("datagen", help="generate coupled signal pairs")
-    add_common(p)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--len", type=int)
-    p.add_argument("--phi-range", dest="phi_range", help="LO:HI coupling range")
-    p.add_argument("--preset", choices=["stationary", "shifted", "trended"])
-    p.set_defaults(func=cmd_datagen)
-
-    def add_experiment(p):
-        add_common(p)
-        p.add_argument("--data", help="dataset directory with manifest.json")
-        p.add_argument("--window", type=int)
-        p.add_argument("--stride", type=int)
-        p.add_argument("--train-fraction", dest="train_fraction", type=float)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--fold-test-size", dest="fold_test_size", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--optimizer", choices=["adam", "sgd"])
-        p.add_argument("--clip-norm", dest="clip_norm", type=float)
-        p.add_argument("--hidden-size", dest="hidden_size", type=int)
-        p.add_argument("--lstms", type=int)
-        p.add_argument("--lookback", type=int)
-        p.add_argument("--cell-activation", dest="cell_activation",
-                       choices=["tanh", "relu"])
-        p.add_argument("--aggregation", choices=["mean", "median"])
-        p.add_argument("--normalize", action="store_const", const=True)
-
-    p = sub.add_parser("train", help="train one model on a dataset")
-    add_experiment(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("kfold", help="group-level k-fold cross-validation")
-    add_experiment(p)
-    p.set_defaults(func=cmd_kfold)
-
-    p = sub.add_parser("baseline", help="k-fold plus chimeric-group control")
-    add_experiment(p)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("sweep", help="sweep the number of LSTM networks")
-    add_experiment(p)
-    p.add_argument("--counts", help="e.g. 1:9 or 1,3,5")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ingest", help="validate AU CSVs and build a dataset")
-    add_common(p)
-    p.add_argument("--manifest", help="group manifest JSON")
-    p.add_argument("--labels", help="per-group labels JSON")
-    p.add_argument("--top-aus", dest="top_aus", type=int)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("annotate", help="aggregate multi-annotator scores")
-    add_common(p)
-    p.add_argument("--scores", help="annotation CSV")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--pooled", action="store_const", const=True)
-    p.set_defaults(func=cmd_annotate)
+        for s in (_SETTINGS[key] for key in keys):
+            if s.type is bool:
+                p.add_argument(s.flag, dest=s.key, action="store_const", const=True,
+                               help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.key, type=s.type,
+                               choices=s.choices or None, help=s.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg, config = _resolve(args)
+        with RunContext(args.command, Path(args.out), cfg) as ctx:
+            _COMMANDS[args.command][0](ctx, config)
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("n_folds must be >= 2")
         if self.aggregation not in ("mean", "median"):
             raise ValueError("aggregation must be 'mean' or 'median'")
+        if self.fold_test_size is not None and self.fold_test_size < 1:
+            raise ValueError("fold_test_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,15 @@ def predict_sample(
     raise ValueError(f"unknown aggregation: {aggregation!r}")
 
 
+def _predict(model: SynchronyModel, sample: InteractionSample,
+             config: ExperimentConfig) -> float:
+    """``predict_sample`` with the window, stride, aggregation, lookback and
+    normalize settings of ``config``."""
+    return predict_sample(model, sample, config.window_length, config.stride,
+                          aggregation=config.aggregation,
+                          lookback=config.train.lookback, normalize=config.normalize)
+
+
 def partition_groups(
     group_ids: list[str], n_folds: int, seed: int
 ) -> list[list[str]]:
@@ -288,15 +299,7 @@ def kfold_cv(
             (
                 gid,
                 by_id[gid].label,
-                predict_sample(
-                    model,
-                    by_id[gid],
-                    config.window_length,
-                    config.stride,
-                    aggregation=config.aggregation,
-                    lookback=config.train.lookback,
-                    normalize=config.normalize,
-                ),
+                _predict(model, by_id[gid], config),
             )
             for gid in test_ids
         )
@@ -357,16 +360,7 @@ def permutation_baseline(
             sample = by_id[gid]
             donors = [s for g, s in by_id.items() if g != gid]
             chimera = make_chimera(sample, donors, rng)
-            pred = predict_sample(
-                fr.model,
-                chimera,
-                config.window_length,
-                config.stride,
-                aggregation=config.aggregation,
-                lookback=config.train.lookback,
-                normalize=config.normalize,
-            )
-            pooled.append((chimera.group_id, sample.label, pred))
+            pooled.append((chimera.group_id, sample.label, _predict(fr.model, chimera, config)))
     return build_report(pooled)
 
 
@@ -463,24 +457,16 @@ def covariance_recovery_experiment(
     )
     model, history = train_experiment(windows, config)
 
-    def predict(sample: InteractionSample) -> float:
-        return predict_sample(
-            model,
-            sample,
-            config.window_length,
-            config.stride,
-            aggregation=config.aggregation,
-            lookback=config.train.lookback,
-            normalize=config.normalize,
-        )
-
     a, b = _calibration_line(
-        [s.label for s in train_samples], [predict(s) for s in train_samples]
+        [s.label for s in train_samples],
+        [_predict(model, s, config) for s in train_samples],
     )
     per_group = []
     for i, p in enumerate(test_pairs):
         sample = pair_to_sample(p, f"test_{i:04d}")
-        per_group.append((sample.group_id, sample.label, (predict(sample) - a) / b))
+        per_group.append(
+            (sample.group_id, sample.label, (_predict(model, sample, config) - a) / b)
+        )
     return model, history, build_report(per_group)
 
 

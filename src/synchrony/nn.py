@@ -70,6 +70,7 @@ import numpy as np
 from .core import WindowedDataset, window_view
 
 DEFAULT_LOOKBACK = 30
+WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
 
 
 class ModelFormatError(ValueError):
@@ -218,9 +219,12 @@ class Workspace:
     ``loss_and_grads``.
 
     A buffer grows on demand and is never shrunk: a smaller request gets a
-    view of the front of the existing one. Arrays a call returns inside its
-    cache are such views, valid until the next call on the same workspace;
-    predictions and gradients are always fresh arrays.
+    view of the front of the existing one. Every buffer starts on a
+    ``WORKSPACE_ALIGN``-byte boundary, so the speed of a step does not
+    depend on where earlier, unrelated allocations left the heap. Arrays a
+    call returns inside its cache are such views, valid until the next
+    call on the same workspace; predictions and gradients are always
+    fresh arrays.
     """
 
     def __init__(self):
@@ -233,7 +237,9 @@ class Workspace:
             # drop the old buffer first so the two never coexist
             del buf
             self._buffers.pop(name, None)
-            buf = self._buffers[name] = np.empty(size)
+            raw = np.empty(size + WORKSPACE_ALIGN // 8)
+            skip = (-raw.ctypes.data % WORKSPACE_ALIGN) // 8
+            buf = self._buffers[name] = raw[skip : skip + size]
         return buf[:size].reshape(shape)
 
 
@@ -265,7 +271,8 @@ def forward_batch(
 ):
     """Run the bank over a (B, T, D) batch; returns (B,) predictions.
 
-    Only the final ``lookback`` frames are consumed. Hidden and cell
+    Only the final ``lookback`` frames are consumed (``DEFAULT_LOOKBACK``
+    when None; a lookback below 1 raises ValueError). Hidden and cell
     states start at zero for every window (no carryover). Intermediate
     arrays live in ``workspace`` (a fresh one when None); with
     ``want_cache`` the cache returned beside the predictions holds views
@@ -273,7 +280,9 @@ def forward_batch(
     """
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
-    lb = lookback or DEFAULT_LOOKBACK
+    lb = DEFAULT_LOOKBACK if lookback is None else lookback
+    if lb <= 0:
+        raise ValueError(f"lookback must be positive, not {lb}")
     if x.shape[1] < lb:
         raise ValueError("window shorter than lookback")
     x = x[:, -lb:, :]

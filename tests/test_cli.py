@@ -1,9 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from synchrony.cli import main
+from synchrony import cli
+from synchrony.cli import build_parser, main
+from synchrony.experiments import ExperimentConfig, kfold_cv
+from synchrony.nn import TrainConfig
 
 
 def run(argv):
@@ -110,12 +114,78 @@ def test_config_file_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({
         "window": 20, "stride": 5, "epochs": 1, "batch_size": 32,
         "hidden_size": 4, "lstms": 2, "lookback": 5, "seed": 1, "folds": 3,
+        "clip_norm": 5, "normalize": False, "fold_test_size": None,
     }))
     out = tmp_path / "c"
     assert run(["kfold", "--data", str(data), "--config", str(cfg),
                 "--folds", "2", "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["folds"] == 2  # flag wins over file
+    assert manifest["config"]["clip_norm"] == 5.0
+    assert manifest["config"]["normalize"] is False
+
+
+def test_defaults_have_one_source(tmp_path, monkeypatch):
+    """With only --data and --out, kfold runs the dataclass defaults and
+    records every experiment setting at its default."""
+    data = datagen_dir(tmp_path, pairs=5, length=101)
+    seen = []
+
+    def spy(samples, config):
+        seen.append(config)
+        return kfold_cv(samples, config)
+
+    monkeypatch.setattr(cli, "kfold_cv", spy)
+    out = tmp_path / "d"
+    assert run(["kfold", "--data", str(data), "--out", str(out)]) == 0
+    d, t = ExperimentConfig(), TrainConfig()
+    assert seen == [d]
+    assert json.loads((out / "run_manifest.json").read_text())["config"] == {
+        "data": str(data), "window": d.window_length, "stride": d.stride,
+        "train_fraction": d.train_fraction, "folds": d.n_folds,
+        "fold_test_size": d.fold_test_size, "seed": d.seed,
+        "aggregation": d.aggregation, "normalize": d.normalize,
+        "learning_rate": t.learning_rate, "epochs": t.epochs,
+        "batch_size": t.batch_size, "optimizer": t.optimizer,
+        "clip_norm": t.clip_norm, "hidden_size": t.hidden_size,
+        "lstms": t.n_lstms, "lookback": t.lookback,
+        "cell_activation": t.cell_activation,
+    }
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--seed"}
+EXPERIMENT_FLAGS = COMMON_FLAGS | {
+    "--data", "--window", "--stride", "--train-fraction", "--folds",
+    "--fold-test-size", "--learning-rate", "--epochs", "--batch-size",
+    "--optimizer", "--clip-norm", "--hidden-size", "--lstms", "--lookback",
+    "--cell-activation", "--aggregation", "--normalize",
+}
+FLAGS = {
+    "datagen": COMMON_FLAGS | {"--pairs", "--len", "--phi-range", "--preset"},
+    "train": EXPERIMENT_FLAGS,
+    "kfold": EXPERIMENT_FLAGS,
+    "baseline": EXPERIMENT_FLAGS,
+    "sweep": EXPERIMENT_FLAGS | {"--counts"},
+    "ingest": COMMON_FLAGS | {"--manifest", "--labels", "--top-aus"},
+    "annotate": COMMON_FLAGS | {"--scores", "--threshold", "--pooled"},
+}
+CHOICES = {
+    "--preset": ["stationary", "shifted", "trended"],
+    "--optimizer": ["adam", "sgd"],
+    "--cell-activation": ["tanh", "relu"],
+    "--aggregation": ["mean", "median"],
+}
+
+
+def test_parser_offers_the_same_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == FLAGS.keys()
+    for name, parser in sub.choices.items():
+        actions = {o: a for a in parser._actions for o in a.option_strings}
+        assert actions.keys() == FLAGS[name], name
+        for flag, action in actions.items():
+            assert (action.choices and list(action.choices)) == CHOICES.get(flag), flag
 
 
 def _edit_manifest(data, change):
@@ -148,28 +218,75 @@ def _duplicate_group(doc):
     doc["pairs"][1]["group_id"] = doc["pairs"][0]["group_id"]
 
 
+def _kfold_after(fault):
+    """kfold on a pairs dataset that ``fault(data, monkeypatch)`` broke."""
+    def argv(tmp_path, monkeypatch):
+        data = datagen_dir(tmp_path)
+        fault(data, monkeypatch)
+        return ["kfold", "--data", str(data)] + TINY
+    return argv
+
+
+def _kfold_with_config(doc):
+    def argv(tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return ["kfold", "--data", str(datagen_dir(tmp_path)), "--config", str(cfg)] + TINY
+    return argv
+
+
+def _kfold_on_groups(change):
+    """kfold on an ingested groups dataset whose manifest ``change`` broke."""
+    def argv(tmp_path, monkeypatch):
+        data = ingested_dir(tmp_path)
+        _edit_manifest(data, change)
+        return ["kfold", "--data", str(data), "--folds", "3"] + TINY
+    return argv
+
+
+def _ingest_with_labels(text):
+    def argv(tmp_path, monkeypatch):
+        src = write_group_fixture(tmp_path)
+        (src / "labels.json").write_text(text)
+        return ["ingest", "--manifest", str(src / "groups.json"),
+                "--labels", str(src / "labels.json")]
+    return argv
+
+
 FAULTS = {
-    "no-manifest": lambda data, mp: (data / "manifest.json").unlink(),
-    "missing-label": lambda data, mp: _edit_manifest(
-        data, lambda doc: doc["pairs"][0].pop("label")),
-    "missing-file": lambda data, mp: _edit_manifest(
-        data, lambda doc: doc["pairs"][2].pop("file")),
-    "one-row-csv": _one_row_csv,
-    "unknown-kind": lambda data, mp: _edit_manifest(
-        data, lambda doc: doc.update(kind="triples")),
-    "duplicate-group-id": lambda data, mp: _edit_manifest(data, _duplicate_group),
-    "duplicate-json-key": _label_twice,
-    "divergence": _diverge,
+    "no-manifest": _kfold_after(lambda data, mp: (data / "manifest.json").unlink()),
+    "missing-label": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][0].pop("label"))),
+    "label-not-a-number": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][1].update(label="0.5"))),
+    "missing-file": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][2].pop("file"))),
+    "one-row-csv": _kfold_after(_one_row_csv),
+    "unknown-kind": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc.update(kind="triples"))),
+    "duplicate-group-id": _kfold_after(
+        lambda data, mp: _edit_manifest(data, _duplicate_group)),
+    "duplicate-json-key": _kfold_after(_label_twice),
+    "divergence": _kfold_after(_diverge),
+    "config-typo-key": _kfold_with_config({"epoch": 3}),
+    "config-string-bool": _kfold_with_config({"normalize": "false"}),
+    "config-fractional-int": _kfold_with_config({"epochs": 1.9}),
+    "groups-null-top-aus": _kfold_on_groups(lambda doc: doc.update(top_aus=None)),
+    "groups-number-not-files": _kfold_on_groups(lambda doc: doc["groups"].update(g0=5)),
+    "groups-non-string-file": _kfold_on_groups(
+        lambda doc: doc["groups"].update(g0=[1, 2, 3])),
+    "ingest-null-label": _ingest_with_labels('{"g0": null, "g1": 2.0, "g2": 3.0}'),
+    "ingest-label-twice": _ingest_with_labels(
+        '{"g0": 1.0, "g1": 2.0, "g2": 3.0, "g0": 1.5}'),
 }
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_failure_removes_partial_outputs(tmp_path, capsys, monkeypatch, fault):
-    data = datagen_dir(tmp_path)
-    FAULTS[fault](data, monkeypatch)
+    argv = FAULTS[fault](tmp_path, monkeypatch)
     capsys.readouterr()
     out = tmp_path / "f"
-    assert run(["kfold", "--data", str(data), "--out", str(out)] + TINY) == 2
+    assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -199,7 +316,7 @@ def write_group_fixture(tmp_path):
     return src
 
 
-def test_ingest_command(tmp_path):
+def ingested_dir(tmp_path):
     src = write_group_fixture(tmp_path)
     out = tmp_path / "ingested"
     assert run([
@@ -207,6 +324,11 @@ def test_ingest_command(tmp_path):
         "--labels", str(src / "labels.json"), "--top-aus", "3",
         "--out", str(out),
     ]) == 0
+    return out
+
+
+def test_ingest_command(tmp_path):
+    out = ingested_dir(tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "groups"
     summary = json.loads((out / "summary.json").read_text())

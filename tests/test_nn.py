@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from synchrony.nn import (
+    DEFAULT_LOOKBACK,
+    WORKSPACE_ALIGN,
     ModelFormatError,
     Optimizer,
     SynchronyModel,
     TrainConfig,
+    Workspace,
     clip_by_global_norm,
     finite_difference_grads,
     forward_batch,
@@ -135,6 +138,38 @@ def test_forward_uses_final_lookback_frames():
     tail = rng.standard_normal((1, 5, 2))
     x_long = np.concatenate([rng.standard_normal((1, 7, 2)), tail], axis=1)
     assert forward_batch(m, x_long, lookback=5)[0] == forward_batch(m, tail, lookback=5)[0]
+
+
+def test_forward_lookback_none_is_default_and_below_one_raises():
+    m = init_model(2, n_lstms=2, hidden_size=3, seed=4)
+    x, _ = random_batch(3, w=DEFAULT_LOOKBACK + 5)
+    assert np.array_equal(forward_batch(m, x),
+                          forward_batch(m, x, lookback=DEFAULT_LOOKBACK))
+    for lookback in (0, -5):
+        with pytest.raises(ValueError, match="lookback"):
+            forward_batch(m, x, lookback=lookback)
+
+
+def test_workspace_buffers_are_aligned(monkeypatch):
+    """Every buffer a step uses starts on a WORKSPACE_ALIGN-byte boundary,
+    also after a buffer grows."""
+    get = Workspace._get
+    misaligned = []
+
+    def checked(self, name, shape):
+        buf = get(self, name, shape)
+        if buf.ctypes.data % WORKSPACE_ALIGN:
+            misaligned.append((name, shape))
+        return buf
+
+    monkeypatch.setattr(Workspace, "_get", checked)
+    m = init_model(2, n_lstms=2, hidden_size=3, seed=4)
+    ws = Workspace()
+    for n_windows in (1, 7, 3, 20):
+        x, y = random_batch(n_windows, w=6, seed=n_windows)
+        loss_and_grads(m, x, y, lookback=5, workspace=ws)
+        forward_batch(m, x, lookback=6, workspace=ws)
+    assert misaligned == []
 
 
 def test_forward_dimension_mismatch():
