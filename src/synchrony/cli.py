@@ -443,7 +443,7 @@ def cmd_kfold(ctx: RunContext, config: ExperimentConfig) -> None:
     samples = load_dataset(ctx.config["data"], ctx)
     fold_results, report = kfold_cv(samples, config)
     ctx.write_text("report.json", report.to_json() + "\n")
-    table = report.to_table("5-Fold validation")
+    table = report.to_table(f"{config.n_folds}-Fold validation")
     if ctx.command == "baseline":
         baseline = permutation_baseline(samples, fold_results, config)
         ctx.write_text("baseline_report.json", baseline.to_json() + "\n")

@@ -83,7 +83,8 @@ def test_kfold_command_and_determinism(tmp_path):
     for key in ("mean_abs_percent_error", "std_percent_error", "r_squared"):
         assert key in report
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "table.txt").exists()
+    table = (out1 / "table.txt").read_text().splitlines()
+    assert table[1].startswith("3-Fold validation ")
     assert (out1 / "folds.json").exists()
 
 

@@ -43,11 +43,11 @@ GOLDEN = {
     "train/history.json": "861560aaa3b034bf0d0bd9c93b211a087f3dc004f6371efcc85df0f17213748a",
     "kfold/report.json": "e44bb9b34683d82f2eb8204ac8df2231dde2ac402bb739312e123cc0792c791c",
     "kfold/folds.json": "9539c40c3b23293e0d0bb0e9ff65d91bba38f144180bcbb17dfe9b1c638db703",
-    "kfold/table.txt": "390de6972d59aa0ee7361f95ffea8ec69e9d17e546a94b44f604a19642d007bf",
+    "kfold/table.txt": "49fd061508d2e918663038998298d886b9c89e13b97911702fdd8e1a3e4c3c71",
     "baseline/report.json": "b9eecf986fdc6a19bbdcc5e0156dfb35d5f711718c81268f1e8effea16f6dff9",
     "baseline/baseline_report.json": "761a3045413567eadf21b6000255e1d415ec99206bf1151115e2bcb01afd10ef",
     "baseline/folds.json": "48b552dc6f9064a46a7659a8d552325c964bbddeaa72575376cd6770fb0090a3",
-    "baseline/table.txt": "a16a9b892ea83ddbc18dfd7470329274cd8dc795205b65685e3de4ea3997b1a3",
+    "baseline/table.txt": "bc47e13d6910a5d5738d51cdc4582afa077e2f415d17de467f6f5960733222c6",
     "sweep/sweep.csv": "2ef5f724e09597e5a796f86ced0bcaca3f0e9a00a98d0b5f46184ce23800e6e1",
 }
 
