@@ -61,11 +61,7 @@ from .nn import TrainConfig, save_model
 
 
 class CliError(Exception):
-    """User-facing failure; message printed, non-zero exit."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """User-facing failure; message printed, exit 2."""
 
 
 _REQUIRED = object()
@@ -357,7 +353,7 @@ def _load_groups(
             path = base / f
             if ctx:
                 ctx.record_input(path)
-            recs.append(load_au_csv(path, group_id=gid))
+            recs.append(load_au_csv(path))
         loaded.append((group_to_sample(recs, label, gid, k=top_aus), recs))
     return loaded
 
@@ -550,10 +546,7 @@ def main(argv=None) -> int:
         with RunContext(args.command, Path(args.out), cfg) as ctx:
             _COMMANDS[args.command][0](ctx, config)
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (CliError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-DEFAULT_FRAME_RATE_HZ = 30.0
-
 
 def _as_readonly_f64(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -26,16 +24,13 @@ def _as_readonly_f64(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A uniformly sampled real-valued signal.
+    """A uniformly sampled real-valued signal, one value per frame.
 
-    Args:
-        values: sample values; must be non-empty and finite.
-        frame_rate_hz: sampling rate, defaults to 30 Hz (one frame per
-            video frame at standard rate).
+    ``values`` must be non-empty and finite. Frames are 30 Hz video
+    frames; no computation reads the rate.
     """
 
     values: np.ndarray
-    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_readonly_f64(self.values))
@@ -43,8 +38,6 @@ class TimeSeries:
             raise ValueError("TimeSeries requires a non-empty 1-D value sequence")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("TimeSeries values must be finite")
-        if not (self.frame_rate_hz > 0):
-            raise ValueError("frame_rate_hz must be positive")
 
     def __len__(self) -> int:
         return self.values.size
@@ -55,8 +48,8 @@ class InteractionSample:
     """A group of participants, each contributing equally long channels.
 
     ``participants`` is a list of channel-sets; channel-set ``k`` holds the
-    C channels of participant ``k``. All K*C channels must agree in length
-    and frame rate. ``label`` is the scalar synchrony score for the whole
+    C channels of participant ``k``. All K*C channels must agree in
+    length. ``label`` is the scalar synchrony score for the whole
     group (annotated score for real data, prescribed cross-covariance for
     synthetic data).
     """
@@ -74,11 +67,8 @@ class InteractionSample:
         if n_channels == {0} or len(n_channels) != 1:
             raise ValueError("all participants must share the same non-zero channel count")
         lengths = {len(ts) for cs in parts for ts in cs}
-        rates = {ts.frame_rate_hz for cs in parts for ts in cs}
         if len(lengths) != 1:
             raise ValueError("all channels must share one length")
-        if len(rates) != 1:
-            raise ValueError("all channels must share one frame rate")
         if not np.isfinite(self.label):
             raise ValueError("label must be finite")
 
@@ -181,7 +171,7 @@ def zscore_normalize(series: TimeSeries) -> TimeSeries:
         vals = np.zeros_like(series.values)
     else:
         vals = (series.values - mu) / sd
-    return TimeSeries(vals, frame_rate_hz=series.frame_rate_hz)
+    return TimeSeries(vals)
 
 
 def normalize_sample(sample: InteractionSample) -> InteractionSample:

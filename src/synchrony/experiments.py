@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     InteractionSample,
-    TimeSeries,
     WindowedDataset,
     check_window,
     extract_windows,
@@ -127,15 +126,19 @@ def _group_ids(dataset: WindowedDataset) -> list[str]:
     return list(dict.fromkeys(dataset.group_ids.tolist()))
 
 
-def _eval_mse(model, x, y, lookback, workspace) -> float:
-    preds = np.concatenate(
+def _forward_chunks(model, x, lookback, workspace) -> np.ndarray:
+    """Predictions for every window of ``x``, ``PREDICT_BATCH`` at a time."""
+    return np.concatenate(
         [
             forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback,
                           workspace=workspace)
             for i in range(0, len(x), PREDICT_BATCH)
         ]
     )
-    return mse_loss(preds, y)
+
+
+def _eval_mse(model, x, y, lookback, workspace) -> float:
+    return mse_loss(_forward_chunks(model, x, lookback, workspace), y)
 
 
 def train_experiment(
@@ -224,12 +227,7 @@ def predict_sample(
     if normalize:
         sample = normalize_sample(sample)
     x = extract_windows(sample, window_length, stride)
-    preds = np.concatenate(
-        [
-            forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback)
-            for i in range(0, len(x), PREDICT_BATCH)
-        ]
-    )
+    preds = _forward_chunks(model, x, lookback, None)
     if aggregation == "mean":
         return float(np.mean(preds))
     if aggregation == "median":
@@ -373,15 +371,6 @@ def pair_to_sample(pair: GeneratedPair, group_id: str) -> InteractionSample:
     )
 
 
-def group_to_interaction_sample(
-    members: list[TimeSeries], label: float, group_id: str
-) -> InteractionSample:
-    """Latent-driver group members as a K-participant, 1-channel sample."""
-    return InteractionSample(
-        tuple((m,) for m in members), label=label, group_id=group_id
-    )
-
-
 def recovery_pairs(
     n_train: int,
     n_test: int,
@@ -477,10 +466,12 @@ def latent_group_samples(
     coupling_range: tuple[float, float] = (0.1, 0.9),
     seed: int = 0,
 ) -> list[InteractionSample]:
-    """Labeled latent-driver groups ready for kfold_cv / the baseline."""
+    """Labeled latent-driver groups ready for kfold_cv / the baseline; each
+    member is one participant with one channel."""
     raw = gen_group_dataset(n_groups, n_members, length, coupling_range, seed)
     return [
-        group_to_interaction_sample(members, label, f"group_{i:03d}")
+        InteractionSample(tuple((m,) for m in members), label=label,
+                          group_id=f"group_{i:03d}")
         for i, (members, label) in enumerate(raw)
     ]
 

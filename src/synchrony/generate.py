@@ -18,7 +18,7 @@ Gaussianity and the prescribed second-order statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,12 +106,12 @@ class ScalarCovSpec:
         if self.length < 2:
             raise ValueError("length must be >= 2")
 
-    def as_coupling_spec(self, delay: int = 0) -> CouplingSpec:
+    def as_coupling_spec(self) -> CouplingSpec:
         """Equivalent CouplingSpec: lag-0-only covariances give flat spectra."""
         imp = np.zeros(self.length)
         cxx, cyy, cxy = imp.copy(), imp.copy(), imp.copy()
         cxx[0], cyy[0], cxy[0] = self.phi11, self.phi22, self.phi12
-        return CouplingSpec(self.length, cxx, cyy, cxy, delay=delay)
+        return CouplingSpec(self.length, cxx, cyy, cxy)
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,9 @@ def gen_dataset(
     length: int,
     phi12_range: tuple[float, float] = (0.1, 0.9),
     seed: int = 0,
-    phi11: float = 1.0,
-    phi22: float = 1.0,
 ) -> list[GeneratedPair]:
-    """Generate n_pairs labeled pairs with couplings drawn uniformly.
+    """Generate n_pairs labeled unit-variance pairs with couplings drawn
+    uniformly from ``phi12_range``, which must lie within [-1, 1].
 
     Each pair derives its own child seed from (seed, index), so the result
     is bit-identical across runs and across serial/parallel execution.
@@ -212,45 +211,34 @@ def gen_dataset(
     lo, hi = phi12_range
     if not (lo < hi):
         raise ValueError("empty phi12 range")
-    bound = np.sqrt(phi11 * phi22)
-    if lo < -bound or hi > bound:
+    if lo < -1.0 or hi > 1.0:
         raise ValueError("phi12 range outside covariance validity bound")
     children = np.random.SeedSequence(seed).spawn(n_pairs + 1)
     labels = np.random.default_rng(children[0]).uniform(lo, hi, size=n_pairs)
     seeds = children[1:]
     return [
-        scalar_pair_gen(ScalarCovSpec(phi11, phi22, lab, length), s)
+        scalar_pair_gen(ScalarCovSpec(1.0, 1.0, lab, length), s)
         for lab, s in zip(labels, seeds)
     ]
 
 
-def empirical_cross_cov(
-    xs: Sequence[TimeSeries], ys: Sequence[TimeSeries], lag: int = 0
-) -> float:
-    """Ensemble-averaged lagged cross-covariance estimate.
+def empirical_cross_cov(xs: Sequence[TimeSeries], ys: Sequence[TimeSeries]) -> float:
+    """Ensemble-averaged lag-0 cross-covariance estimate.
 
     Means are removed globally over the whole ensemble (not per pair), so
     the estimator is unbiased up to O(1/(n_pairs * length)) and usable as
-    a Monte-Carlo oracle for the generator. ``lag`` pairs x[t + lag] with
-    y[t].
+    a Monte-Carlo oracle for the generator.
     """
     if len(xs) != len(ys) or len(xs) == 0:
         raise ValueError("need equal non-zero numbers of x and y series")
     lengths = {len(s) for s in xs} | {len(s) for s in ys}
     if len(lengths) != 1:
         raise ValueError("mismatched lengths")
-    t = lengths.pop()
-    if abs(lag) >= t:
-        raise ValueError("lag exceeds series length")
     xmat = np.stack([s.values for s in xs])
     ymat = np.stack([s.values for s in ys])
     xmat = xmat - xmat.mean()
     ymat = ymat - ymat.mean()
-    if lag >= 0:
-        prods = xmat[:, lag:] * ymat[:, : t - lag]
-    else:
-        prods = xmat[:, : t + lag] * ymat[:, -lag:]
-    return float(prods.mean())
+    return float((xmat * ymat).mean())
 
 
 def squared_exp_cov(length: int, scale: float = PRESET_LENGTH_SCALE) -> np.ndarray:

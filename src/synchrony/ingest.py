@@ -4,21 +4,21 @@ multi-annotator label aggregation.
 File formats:
   - AU CSV, one participant per file: header ``frame,AU01,AU02,...``,
     contiguous integer frame index, decimal intensities.
-  - Group manifest: JSON mapping group_id to an ordered list of participant
-    CSV paths (order defines channel-set position).
+  - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
+    an ordered list of participant CSV paths (order defines channel-set
+    position).
   - Annotation CSV: rows ``group_id,labeler_id,score`` with scores in [1, 5].
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_FRAME_RATE_HZ, InteractionSample, TimeSeries
+from .core import InteractionSample, TimeSeries
 
 
 class IngestError(ValueError):
@@ -31,15 +31,12 @@ class AuRecording:
 
     participant_id: str
     au_channels: dict[str, TimeSeries]
-    group_id: str = ""
 
     def __post_init__(self):
         if not self.au_channels:
             raise IngestError("recording has no AU channels")
-        lengths = {len(ts) for ts in self.au_channels.values()}
-        rates = {ts.frame_rate_hz for ts in self.au_channels.values()}
-        if len(lengths) != 1 or len(rates) != 1:
-            raise IngestError("AU channels must share length and frame rate")
+        if len({len(ts) for ts in self.au_channels.values()}) != 1:
+            raise IngestError("AU channels must share one length")
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,9 @@ class AnnotationSet:
                 )
 
 
-def load_au_csv(
-    path,
-    participant_id: str | None = None,
-    group_id: str = "",
-    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
-) -> AuRecording:
-    """Load one participant's AU CSV, validating the frame column."""
+def load_au_csv(path) -> AuRecording:
+    """Load one participant's AU CSV, validating the frame column; the
+    participant id is the file name without its suffix."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -104,15 +97,8 @@ def load_au_csv(
                 col.append(v)
         if prev_frame is None:
             raise IngestError(f"{path.name}: no data rows")
-    channels = {
-        au: TimeSeries(col, frame_rate_hz=frame_rate_hz)
-        for au, col in zip(au_ids, columns)
-    }
-    return AuRecording(
-        participant_id=participant_id or path.stem,
-        au_channels=channels,
-        group_id=group_id,
-    )
+    channels = {au: TimeSeries(col) for au, col in zip(au_ids, columns)}
+    return AuRecording(participant_id=path.stem, au_channels=channels)
 
 
 def mean_average_deviation(series: TimeSeries) -> float:
@@ -156,21 +142,6 @@ def group_to_sample(
         tuple(rec.au_channels[au] for au in aus) for rec in recordings
     )
     return InteractionSample(parts, label=label, group_id=group_id)
-
-
-def load_group_manifest(path) -> dict[str, list[str]]:
-    """Group manifest JSON: group_id -> ordered participant file list."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path.name}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not all(
-        isinstance(v, list) and all(isinstance(p, str) for p in v)
-        for v in doc.values()
-    ):
-        raise IngestError(f"{path.name}: manifest must map group ids to file lists")
-    return {str(g): list(files) for g, files in doc.items()}
 
 
 def load_annotation_csv(path) -> list[AnnotationSet]:

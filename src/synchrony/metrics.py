@@ -8,7 +8,7 @@ ground truth and rejected rather than returned as infinities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class EvalReport:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self, row_label: str = "result") -> str:
         """Aligned plain-text table with the three headline numbers."""

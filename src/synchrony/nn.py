@@ -71,6 +71,9 @@ from .core import WindowedDataset, window_view
 
 DEFAULT_LOOKBACK = 30
 WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ModelFormatError(ValueError):
@@ -157,8 +160,9 @@ class SynchronyModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters. All configurable; defaults are standard
-    robust LSTM practice."""
+    """Training hyperparameters; defaults are standard robust LSTM
+    practice. Adam's moment decays and epsilon are the constants
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     learning_rate: float = 1e-3
     epochs: int = 50
@@ -170,9 +174,6 @@ class TrainConfig:
     n_lstms: int = 6
     lookback: int = DEFAULT_LOOKBACK
     cell_activation: str = "tanh"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.hidden_size,
@@ -463,13 +464,13 @@ class Optimizer:
             self.m = {k: np.zeros_like(p) for k, p in params.items()}
             self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k in params:
             self.m[k] = b1 * self.m[k] + (1 - b1) * grads[k]
             self.v[k] = b2 * self.v[k] + (1 - b2) * grads[k] ** 2
             mhat = self.m[k] / (1 - b1**self.t)
             vhat = self.v[k] / (1 - b2**self.t)
-            params[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            params[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         return model.with_params(params)
 
 
@@ -477,11 +478,8 @@ MODEL_FORMAT = "synchrony-model"
 MODEL_VERSION = 1
 
 
-def save_model(model: SynchronyModel, path, dtype: str = "float64") -> None:
-    """Write a versioned JSON model file (base64 weight payloads)."""
-    if dtype not in ("float64", "float32"):
-        raise ValueError("dtype must be float64 or float32")
-    np_dtype = np.dtype(dtype)
+def save_model(model: SynchronyModel, path) -> None:
+    """Write a versioned JSON model file (base64 float64 weight payloads)."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -489,11 +487,11 @@ def save_model(model: SynchronyModel, path, dtype: str = "float64") -> None:
         "hidden_size": model.hidden_size,
         "input_size": model.input_size,
         "cell_activation": model.cell_activation,
-        "dtype": dtype,
+        "dtype": "float64",
         "head_b": model.head_b,
         "arrays": {
             k: base64.b64encode(
-                np.ascontiguousarray(v, dtype=np_dtype).tobytes()
+                np.ascontiguousarray(v, dtype=np.float64).tobytes()
             ).decode("ascii")
             for k, v in (("wx", model.wx), ("rh", model.rh),
                          ("b", model.b), ("head_w", model.head_w))
@@ -504,7 +502,8 @@ def save_model(model: SynchronyModel, path, dtype: str = "float64") -> None:
 
 
 def load_model(path) -> SynchronyModel:
-    """Load a model file; malformed input raises ModelFormatError."""
+    """Load a model file; malformed input, or a payload dtype other than
+    float64, raises ModelFormatError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -516,7 +515,8 @@ def load_model(path) -> SynchronyModel:
         raise ModelFormatError(f"unsupported model version: {doc.get('version')!r}")
     try:
         n, h, d = int(doc["n_lstms"]), int(doc["hidden_size"]), int(doc["input_size"])
-        np_dtype = np.dtype(doc["dtype"])
+        if doc["dtype"] != "float64":
+            raise ModelFormatError(f"unsupported payload dtype: {doc['dtype']!r}")
         shapes = {
             "wx": (n, 4 * h, d),
             "rh": (n, 4 * h, h),
@@ -526,13 +526,13 @@ def load_model(path) -> SynchronyModel:
         arrays = {}
         for k, shape in shapes.items():
             raw = base64.b64decode(doc["arrays"][k])
-            flat = np.frombuffer(raw, dtype=np_dtype)
+            flat = np.frombuffer(raw, dtype=np.float64)
             if flat.size != int(np.prod(shape)):
                 raise ModelFormatError(
                     f"dimension corruption: {k} payload has {flat.size} values, "
                     f"header implies {int(np.prod(shape))}"
                 )
-            arrays[k] = flat.reshape(shape).astype(np.float64)
+            arrays[k] = flat.reshape(shape).copy()
         return SynchronyModel(
             wx=arrays["wx"],
             rh=arrays["rh"],

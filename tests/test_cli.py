@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -176,6 +177,16 @@ CHOICES = {
     "--cell-activation": ["tanh", "relu"],
     "--aggregation": ["mean", "median"],
 }
+
+
+def test_every_config_field_has_a_setting():
+    """Every ExperimentConfig field but ``train``, and every TrainConfig
+    field, is named by some setting in ``_SETTINGS``: a value no caller can
+    set belongs in a constant, not a config field."""
+    reached = {f for s in cli._SETTINGS.values() for f in s.fields}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"train"}
+    fields |= {f"train.{f.name}" for f in dataclasses.fields(TrainConfig)}
+    assert fields == reached
 
 
 def test_parser_offers_the_same_flags():

@@ -18,12 +18,6 @@ def test_timeseries_rejects_bad_input():
         TimeSeries([])
     with pytest.raises(ValueError):
         TimeSeries([1.0, np.nan])
-    with pytest.raises(ValueError):
-        TimeSeries([1.0], frame_rate_hz=0)
-
-
-def test_timeseries_default_frame_rate():
-    assert TimeSeries([1.0, 2.0]).frame_rate_hz == 30.0
 
 
 def test_sample_validates_dimensions():

@@ -177,7 +177,7 @@ def test_aggregation_rules(monkeypatch):
 
     calls = iter([np.array([1.0, 2.0, 100.0])])
 
-    def fake_forward(model, x, lookback=None):
+    def fake_forward(model, x, lookback=None, workspace=None):
         return np.array([1.0, 2.0, 100.0])[: len(x)]
 
     monkeypatch.setattr(ex, "forward_batch", fake_forward)

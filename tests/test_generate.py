@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from synchrony.generate import (
 )
 
 
-def flat_spec(phi11=1.0, phi22=1.0, phi12=0.0, length=128, **kw):
-    return ScalarCovSpec(phi11, phi22, phi12, length).as_coupling_spec(**kw)
+def flat_spec(phi11=1.0, phi22=1.0, phi12=0.0, length=128, delay=0):
+    return replace(ScalarCovSpec(phi11, phi22, phi12, length).as_coupling_spec(),
+                   delay=delay)
 
 
 # spec construction and validation
@@ -64,7 +67,7 @@ def test_zero_cross_cov_ensemble():
         [np.mean(x.values * y.values) for x, y in zip(xs, ys)]
     )
     se = per_pair.std() / np.sqrt(m)
-    assert abs(empirical_cross_cov(xs, ys, 0)) < 3 * se
+    assert abs(empirical_cross_cov(xs, ys)) < 3 * se
 
 
 def test_no_delay_full_length():
@@ -171,7 +174,7 @@ def test_cross_cov_self_is_variance():
     from synchrony.core import TimeSeries
 
     xs = [TimeSeries(rng.standard_normal(500)) for _ in range(10)]
-    got = empirical_cross_cov(xs, xs, 0)
+    got = empirical_cross_cov(xs, xs)
     pooled = np.concatenate([x.values for x in xs])
     np.testing.assert_allclose(got, np.var(pooled), rtol=1e-12)
 
@@ -181,7 +184,7 @@ def test_cross_cov_alternating_example():
 
     x = [TimeSeries([1.0, -1.0, 1.0, -1.0])]
     y = [TimeSeries([-1.0, 1.0, -1.0, 1.0])]
-    assert empirical_cross_cov(x, y, 0) == pytest.approx(-1.0)
+    assert empirical_cross_cov(x, y) == pytest.approx(-1.0)
 
 
 def test_cross_cov_independent_noise_bound():
@@ -190,14 +193,14 @@ def test_cross_cov_independent_noise_bound():
     rng = np.random.default_rng(3)
     xs = [TimeSeries(rng.standard_normal(10**5))]
     ys = [TimeSeries(rng.standard_normal(10**5))]
-    assert abs(empirical_cross_cov(xs, ys, 0)) < 3.0 / np.sqrt(10**5)
+    assert abs(empirical_cross_cov(xs, ys)) < 3.0 / np.sqrt(10**5)
 
 
 def test_cross_cov_rejects_mismatched_lengths():
     from synchrony.core import TimeSeries
 
     with pytest.raises(ValueError):
-        empirical_cross_cov([TimeSeries([1, 2])], [TimeSeries([1, 2, 3])], 0)
+        empirical_cross_cov([TimeSeries([1, 2])], [TimeSeries([1, 2, 3])])
 
 
 # presets
@@ -234,8 +237,8 @@ def test_preset_trended_detrends_to_stationary():
         ys_s.append(ps.y)
     # same seeds: de-trending must recover the stationary pair exactly
     np.testing.assert_allclose(xs_t[0].values, xs_s[0].values, atol=1e-9)
-    cov_t = empirical_cross_cov(xs_t, ys_t, 0)
-    cov_s = empirical_cross_cov(xs_s, ys_s, 0)
+    cov_t = empirical_cross_cov(xs_t, ys_t)
+    cov_s = empirical_cross_cov(xs_s, ys_s)
     assert abs(cov_t - cov_s) < 0.02
 
 

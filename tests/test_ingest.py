@@ -11,7 +11,6 @@ from synchrony.ingest import (
     group_to_sample,
     load_annotation_csv,
     load_au_csv,
-    load_group_manifest,
     mean_average_deviation,
     select_top_aus,
 )
@@ -289,13 +288,3 @@ def test_load_annotation_csv_duplicate(tmp_path):
     path.write_text("g1,l1,3\ng1,l1,4\n")
     with pytest.raises(IngestError, match="duplicate"):
         load_annotation_csv(path)
-
-
-def test_load_group_manifest(tmp_path):
-    path = tmp_path / "groups.json"
-    path.write_text('{"g1": ["a.csv", "b.csv"]}')
-    assert load_group_manifest(path) == {"g1": ["a.csv", "b.csv"]}
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"g1": "a.csv"}')
-    with pytest.raises(IngestError):
-        load_group_manifest(bad)

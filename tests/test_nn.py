@@ -340,12 +340,23 @@ def test_load_version_mismatch(tmp_path):
         load_model(path)
 
 
-def test_float32_storage_round_trips_at_reduced_precision(tmp_path):
+def test_load_rejects_float32_payloads(tmp_path):
+    import base64
+    import json
+
     m = init_model(2, n_lstms=2, hidden_size=3, seed=13)
     path = tmp_path / "model32.json"
-    save_model(m, path, dtype="float32")
-    m2 = load_model(path)
-    np.testing.assert_allclose(m.wx, m2.wx, atol=1e-6)
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    assert doc["dtype"] == "float64"
+    doc["dtype"] = "float32"
+    doc["arrays"] = {
+        k: base64.b64encode(v.astype(np.float32).tobytes()).decode("ascii")
+        for k, v in (("wx", m.wx), ("rh", m.rh), ("b", m.b), ("head_w", m.head_w))
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="dtype"):
+        load_model(path)
 
 
 def test_cells_round_trip_packed_layout():
