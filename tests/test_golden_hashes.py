@@ -56,12 +56,12 @@ def _result_hashes(root: Path) -> dict[str, str]:
     pairs = hashlib.sha256()
     hashes = {}
     for path in sorted(root.rglob("*")):
-        name = path.relative_to(root).as_posix()
         if path.is_dir() or path.name == "run_manifest.json":
             continue
         if path.match(PAIRS):
             pairs.update(path.read_bytes())
         else:
+            name = path.relative_to(root).as_posix()
             hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     hashes[PAIRS] = pairs.hexdigest()
     return hashes
