@@ -7,7 +7,6 @@ from .core import (
     InteractionSample,
     TimeSeries,
     WindowedDataset,
-    extract_windows,
     zscore_normalize,
 )
 from .generate import (
@@ -51,7 +50,7 @@ from .experiments import (
 
 __all__ = [
     "TimeSeries", "InteractionSample", "WindowedDataset",
-    "extract_windows", "zscore_normalize",
+    "zscore_normalize",
     "CouplingSpec", "ScalarCovSpec", "GeneratedPair",
     "spectral_pair_gen", "scalar_pair_gen", "gen_dataset",
     "empirical_cross_cov", "preset_pairs",

@@ -42,7 +42,6 @@ from . import __version__
 from .core import InteractionSample, TimeSeries
 from .experiments import (
     ExperimentConfig,
-    build_windowed_dataset,
     kfold_cv,
     permutation_baseline,
     sweep_lstm_count,
@@ -420,15 +419,9 @@ def cmd_datagen(ctx: RunContext, _: None) -> None:
                                      "pairs": entries})
 
 
-def _windowed(samples, config: ExperimentConfig):
-    return build_windowed_dataset(
-        samples, config.window_length, config.stride, normalize=config.normalize
-    )
-
-
 def cmd_train(ctx: RunContext, config: ExperimentConfig) -> None:
     samples = load_dataset(ctx.config["data"], ctx)
-    model, history = train_experiment(_windowed(samples, config), config)
+    model, history = train_experiment(samples, config)
     save_model(model, ctx.output("model.json"))
     ctx.write_json("history.json",
                    {"epochs": list(history.epochs), "best_epoch": history.best_epoch})
@@ -460,7 +453,7 @@ def cmd_kfold(ctx: RunContext, config: ExperimentConfig) -> None:
 def cmd_sweep(ctx: RunContext, config: ExperimentConfig) -> None:
     samples = load_dataset(ctx.config["data"], ctx)
     counts = _parse_counts(ctx.config["counts"])
-    rows = sweep_lstm_count(_windowed(samples, config), counts, config)
+    rows = sweep_lstm_count(samples, counts, config)
     lines = ["count,train_error,val_error"]
     lines += [f"{r['count']},{r['train_error']!r},{r['val_error']!r}" for r in rows]
     ctx.write_text("sweep.csv", "\n".join(lines) + "\n")

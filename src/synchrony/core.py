@@ -1,15 +1,15 @@
-"""Core time-series containers and sliding-window extraction.
+"""Core time-series containers and window arithmetic.
 
 Everything downstream (generation, training, evaluation) works in terms of
 these types: a single uniformly sampled signal, a labeled group of signals,
-and the fixed-length windows cut from such groups. A window is a (W, K*C)
-slice of a group's per-frame matrix, held as a strided view, never copied
-one window at a time.
+and a ``WindowedDataset`` that lists fixed-length windows as start frames
+into the stacked per-frame matrices of such groups. The windows themselves
+are cut in ``experiments`` and copied out in ``nn.windows_to_batch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,27 +98,16 @@ class WindowedDataset:
 
     ``frames`` stacks the per-frame matrices of the samples; window i is
     ``frames[starts[i] : starts[i] + window_length]`` and carries
-    ``labels[i]`` and ``group_ids[i]``. No window crosses from one sample
-    into the next.
+    ``labels[i]``. No window crosses from one sample into the next.
     """
 
     frames: np.ndarray
     window_length: int
     starts: np.ndarray
     labels: np.ndarray
-    group_ids: np.ndarray
 
     def __len__(self) -> int:
         return self.starts.size
-
-    def select(self, mask: np.ndarray) -> "WindowedDataset":
-        """The windows where ``mask`` is true, in the same order."""
-        return replace(
-            self,
-            starts=self.starts[mask],
-            labels=self.labels[mask],
-            group_ids=self.group_ids[mask],
-        )
 
 
 def window_count(n_frames: int, window_length: int, stride: int) -> int:
@@ -145,19 +134,6 @@ def window_view(frames: np.ndarray, window_length: int) -> np.ndarray:
     """Read-only (T - W + 1, W, D) view of a (T, D) matrix whose entry s is
     ``frames[s : s + W]``; nothing is copied."""
     return sliding_window_view(frames, window_length, axis=0).transpose(0, 2, 1)
-
-
-def extract_windows(
-    sample: InteractionSample, window_length: int, stride: int = 1
-) -> np.ndarray:
-    """Slice a sample into overlapping windows.
-
-    Returns a read-only (n_windows, W, K*C) strided view of the sample's
-    per-frame matrix; window i starts at frame ``i * stride``. Raises if
-    the window does not fit or the stride is not positive.
-    """
-    check_window(sample.n_frames, window_length, stride)
-    return window_view(sample.frames(), window_length)[::stride]
 
 
 def zscore_normalize(series: TimeSeries) -> TimeSeries:

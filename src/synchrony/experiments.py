@@ -2,9 +2,10 @@
 cross-validation, the chimeric-group control baseline, and the LSTM-count
 sweep.
 
-Splits are always group-disjoint: every window carries the group id of the
-sample it was cut from, and all windows of a group land on the same side
-of any train/validation or train/test boundary.
+Samples are cut into windows here and nowhere else, by
+``build_windowed_dataset`` and ``windows_to_batch``, for training and
+prediction alike. Splits are made on samples by group id before any window
+is cut, so all of a group lands on one side of every split.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import (
     InteractionSample,
     WindowedDataset,
     check_window,
-    extract_windows,
     normalize_sample,
     window_count,
 )
@@ -94,19 +94,13 @@ def build_windowed_dataset(
     stride: int = 1,
     normalize: bool = False,
 ) -> WindowedDataset:
-    """Window every sample; each window keeps its sample's label and group.
+    """Window every sample; each window keeps its sample's label.
 
     Windows are listed sample by sample, each sample's from frame 0 on.
     """
-    if not samples:
-        raise ValueError("no samples")
-    dims = {(s.n_participants, s.n_channels) for s in samples}
-    if len(dims) != 1:
-        raise ValueError("all samples must share participant/channel counts")
+    _check_samples(samples, window_length, stride)
     if normalize:
         samples = [normalize_sample(s) for s in samples]
-    for s in samples:
-        check_window(s.n_frames, window_length, stride)
     counts = [window_count(s.n_frames, window_length, stride) for s in samples]
     offsets = np.cumsum([0] + [s.n_frames for s in samples[:-1]])
     frames = np.concatenate([s.frames() for s in samples])
@@ -118,12 +112,24 @@ def build_windowed_dataset(
             [o + stride * np.arange(n) for o, n in zip(offsets, counts)]
         ),
         labels=np.repeat(np.array([s.label for s in samples], dtype=np.float64), counts),
-        group_ids=np.repeat(np.array([s.group_id for s in samples]), counts),
     )
 
 
-def _group_ids(dataset: WindowedDataset) -> list[str]:
-    return list(dict.fromkeys(dataset.group_ids.tolist()))
+def _check_samples(samples, window_length: int, stride: int) -> None:
+    """Raise unless the samples share one shape and each fits a window."""
+    if not samples:
+        raise ValueError("no samples")
+    dims = {(s.n_participants, s.n_channels) for s in samples}
+    if len(dims) != 1:
+        raise ValueError("all samples must share participant/channel counts")
+    for s in samples:
+        check_window(s.n_frames, window_length, stride)
+
+
+def _batch(samples, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The windows of ``samples`` under ``config``, as ``windows_to_batch``."""
+    return windows_to_batch(build_windowed_dataset(
+        samples, config.window_length, config.stride, normalize=config.normalize))
 
 
 def _forward_chunks(model, x, lookback, workspace) -> np.ndarray:
@@ -142,30 +148,31 @@ def _eval_mse(model, x, y, lookback, workspace) -> float:
 
 
 def train_experiment(
-    dataset: WindowedDataset,
+    samples: list[InteractionSample],
     config: ExperimentConfig,
     *,
     workspace: Workspace | None = None,
 ) -> tuple[SynchronyModel, TrainHistory]:
-    """Train on a group-disjoint train/validation split of the windows.
+    """Train on a group-disjoint train/validation split of the samples.
 
-    Records per-epoch train/validation MSE and returns the parameters from
-    the epoch with the best validation loss. Deterministic given config.
+    A seeded shuffle of the group ids puts ``train_fraction`` of them on
+    the training side; each side is windowed by ``config``. Records
+    per-epoch train/validation MSE and returns the parameters from the
+    epoch with the best validation loss. Deterministic given config.
     Every training step and validation pass runs in ``workspace`` (a fresh
     one when None); callers that train repeatedly pass one along.
     """
     ws = Workspace() if workspace is None else workspace
-    groups = _group_ids(dataset)
+    groups = list(dict.fromkeys(s.group_id for s in samples))
     if len(groups) < 2:
         raise ValueError("need at least 2 groups to split")
     tc = config.train
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    order = list(np.array(groups)[rng.permutation(len(groups))])
     n_train = min(max(int(round(config.train_fraction * len(groups))), 1),
                   len(groups) - 1)
-    train_mask = np.isin(dataset.group_ids, order[:n_train])
-    x_train, y_train = windows_to_batch(dataset.select(train_mask))
-    x_val, y_val = windows_to_batch(dataset.select(~train_mask))
+    train_ids = {groups[i] for i in rng.permutation(len(groups))[:n_train]}
+    x_train, y_train = _batch([s for s in samples if s.group_id in train_ids], config)
+    x_val, y_val = _batch([s for s in samples if s.group_id not in train_ids], config)
 
     input_size = x_train.shape[2]
     model = init_model(
@@ -224,9 +231,8 @@ def predict_sample(
     normalize: bool = False,
 ) -> float:
     """Window-level predictions aggregated to one score for the sample."""
-    if normalize:
-        sample = normalize_sample(sample)
-    x = extract_windows(sample, window_length, stride)
+    x, _ = windows_to_batch(
+        build_windowed_dataset([sample], window_length, stride, normalize=normalize))
     preds = _forward_chunks(model, x, lookback, None)
     if aggregation == "mean":
         return float(np.mean(preds))
@@ -260,16 +266,15 @@ def kfold_cv(
 ) -> tuple[list[FoldResult], EvalReport]:
     """Group-level k-fold cross-validation.
 
-    Each fold trains a fresh model on the other folds' windows and scores
+    Each fold trains a fresh model on the other folds' samples and scores
     the held-out groups via predict_sample; pooled per-group predictions
-    across folds feed one report.
+    across folds feed one report. All samples are checked before any fold
+    trains.
     """
     by_id = {s.group_id: s for s in samples}
     if len(by_id) != len(samples):
         raise ValueError("duplicate group ids")
-    windows = build_windowed_dataset(
-        samples, config.window_length, config.stride, normalize=config.normalize
-    )
+    _check_samples(samples, config.window_length, config.stride)
     group_ids = list(by_id)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_folds + 1)
     part_seed = int(seeds[0].generate_state(1)[0])
@@ -290,9 +295,9 @@ def kfold_cv(
     results = []
     ws = Workspace()
     for fold_idx, test_ids in enumerate(folds):
-        train_windows = windows.select(~np.isin(windows.group_ids, test_ids))
+        train_samples = [s for s in samples if s.group_id not in test_ids]
         fold_cfg = replace(config, seed=int(seeds[fold_idx + 1].generate_state(1)[0]))
-        model, _ = train_experiment(train_windows, fold_cfg, workspace=ws)
+        model, _ = train_experiment(train_samples, fold_cfg, workspace=ws)
         per_group = tuple(
             (
                 gid,
@@ -440,11 +445,7 @@ def covariance_recovery_experiment(
     train_samples = [
         pair_to_sample(p, f"train_{i:04d}") for i, p in enumerate(train_pairs)
     ]
-    windows = build_windowed_dataset(
-        train_samples, config.window_length, config.stride,
-        normalize=config.normalize,
-    )
-    model, history = train_experiment(windows, config)
+    model, history = train_experiment(train_samples, config)
 
     a, b = _calibration_line(
         [s.label for s in train_samples],
@@ -477,7 +478,7 @@ def latent_group_samples(
 
 
 def sweep_lstm_count(
-    dataset: WindowedDataset, counts: list[int], config: ExperimentConfig
+    samples: list[InteractionSample], counts: list[int], config: ExperimentConfig
 ) -> list[dict]:
     """Train once per LSTM count; report each run's best train/val MSE."""
     if not counts:
@@ -486,7 +487,7 @@ def sweep_lstm_count(
     ws = Workspace()
     for count in counts:
         cfg = replace(config, train=replace(config.train, n_lstms=count))
-        _, hist = train_experiment(dataset, cfg, workspace=ws)
+        _, hist = train_experiment(samples, cfg, workspace=ws)
         rows.append(
             {
                 "count": count,

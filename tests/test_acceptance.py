@@ -12,7 +12,6 @@ import pytest
 from synchrony.core import TimeSeries
 from synchrony.experiments import (
     ExperimentConfig,
-    build_windowed_dataset,
     covariance_recovery_experiment,
     kfold_cv,
     latent_group_samples,
@@ -283,14 +282,13 @@ SWEEP_COUNTS = list(range(1, 10))
 def run_sweep():
     pairs = gen_dataset(30, 500, (0.1, 0.9), seed=77)
     samples = [pair_to_sample(p, f"g{i:03d}") for i, p in enumerate(pairs)]
-    windows = build_windowed_dataset(samples, 100, 2)
     cfg = ExperimentConfig(
         window_length=100,
         stride=2,
         seed=55,
         train=TrainConfig(epochs=3, hidden_size=16, lookback=30, seed=21),
     )
-    return sweep_lstm_count(windows, SWEEP_COUNTS, cfg)
+    return sweep_lstm_count(samples, SWEEP_COUNTS, cfg)
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,16 @@ from hypothesis import given, strategies as st
 from synchrony.core import (
     InteractionSample,
     TimeSeries,
-    extract_windows,
     window_count,
     zscore_normalize,
 )
 from synchrony.experiments import build_windowed_dataset
+from synchrony.nn import windows_to_batch
 from conftest import random_sample
+
+
+def windows(sample, window_length, stride):
+    return windows_to_batch(build_windowed_dataset([sample], window_length, stride))[0]
 
 
 def test_timeseries_rejects_bad_input():
@@ -38,21 +42,18 @@ def test_window_counts():
 
 def test_extract_windows_count_and_labels():
     s = random_sample(t=1000, label=0.7)
-    windows = extract_windows(s, 100, 1)
-    assert windows.shape == (901, 100, 2)
+    assert windows(s, 100, 1).shape == (901, 100, 2)
     dataset = build_windowed_dataset([s], 100, 1)
     assert len(dataset) == 901
     assert set(dataset.labels.tolist()) == {0.7}
-    assert set(dataset.group_ids.tolist()) == {s.group_id}
 
 
 def test_extract_windows_whole_signal():
     s = random_sample(t=100)
-    windows = extract_windows(s, 100, 1)
-    assert len(windows) == 1
+    x = windows(s, 100, 1)
+    assert len(x) == 1
     raw = np.stack([s.participants[k][0].values for k in range(2)], axis=1)
-    np.testing.assert_array_equal(windows[0], raw)
-    assert not windows.flags.writeable
+    np.testing.assert_array_equal(x[0], raw)
 
 
 def test_extract_windows_starts_are_arithmetic():
@@ -60,7 +61,7 @@ def test_extract_windows_starts_are_arithmetic():
     for stride in (1, 3, 7):
         starts = build_windowed_dataset([s], 50, stride).starts.tolist()
         assert starts == list(range(0, starts[-1] + 1, stride))
-        first_frames = extract_windows(s, 50, stride)[:, 0, 0]
+        first_frames = windows(s, 50, stride)[:, 0, 0]
         np.testing.assert_array_equal(
             first_frames, s.participants[0][0].values[starts]
         )
@@ -69,23 +70,23 @@ def test_extract_windows_starts_are_arithmetic():
 def test_extract_windows_data_matches_parent():
     s = random_sample(k=3, c=2, t=120, seed=4)
     stride = 3
-    windows = extract_windows(s, 40, stride)
+    x = windows(s, 40, stride)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        i = int(rng.integers(len(windows)))
+        i = int(rng.integers(len(x)))
         k = int(rng.integers(3))
         c = int(rng.integers(2))
         j = int(rng.integers(40))
         expected = s.participants[k][c].values[i * stride + j]
-        assert windows[i, j, k * 2 + c] == expected
+        assert x[i, j, k * 2 + c] == expected
 
 
 def test_extract_windows_errors():
     s = random_sample(t=50)
     with pytest.raises(ValueError, match="window exceeds signal"):
-        extract_windows(s, 51, 1)
+        windows(s, 51, 1)
     with pytest.raises(ValueError):
-        extract_windows(s, 10, 0)
+        windows(s, 10, 0)
 
 
 def test_zscore_examples():

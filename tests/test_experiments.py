@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synchrony import experiments
-from synchrony.core import InteractionSample, TimeSeries, extract_windows, normalize_sample
+from synchrony.core import InteractionSample, TimeSeries
 from synchrony.experiments import (
     ExperimentConfig,
     build_windowed_dataset,
@@ -76,28 +76,19 @@ def test_windows_match_raw_signal_slices(k, c, stride, normalize):
         v = ts.values
         return (v - float(np.mean(v))) / float(np.std(v)) if normalize else v
 
-    want_x, want_y, want_g = [], [], []
+    want_x, want_y = [], []
     for s in samples:
         # participant-major columns: k * C + c
         signals = [raw(ts) for part in s.participants for ts in part]
         starts = range(0, s.n_frames - w + 1, stride)
         rows = [np.stack([v[st : st + w] for v in signals], axis=1) for st in starts]
-        sample = normalize_sample(s) if normalize else s
-        view = extract_windows(sample, w, stride)
-        assert np.array_equal(view, np.array(rows))
-        assert not view.flags.writeable
+        one, _ = windows_to_batch(build_windowed_dataset([s], w, stride, normalize=normalize))
+        assert np.array_equal(one, np.array(rows))
         want_x += rows
         want_y += [s.label] * len(rows)
-        want_g += [s.group_id] * len(rows)
     assert np.array_equal(x, np.array(want_x))
     assert x.flags.c_contiguous
     assert np.array_equal(y, np.array(want_y))
-    assert dataset.group_ids.tolist() == want_g
-    # a selection keeps the chosen windows in order
-    mask = dataset.group_ids != "g1"
-    x_sel, y_sel = windows_to_batch(dataset.select(mask))
-    assert np.array_equal(x_sel, x[mask])
-    assert np.array_equal(y_sel, y[mask])
 
 
 def test_windowed_dataset_rejects_mixed_dims():
@@ -124,9 +115,8 @@ def test_zero_epochs_returns_initial_model():
     from synchrony.nn import init_model
 
     samples = pair_samples(4)
-    windows = build_windowed_dataset(samples, 20, 5)
     cfg = tiny_config(train=tiny_train(epochs=0))
-    model, hist = train_experiment(windows, cfg)
+    model, hist = train_experiment(samples, cfg)
     expected = init_model(2, n_lstms=2, hidden_size=4, seed=0)
     for k, v in expected.params().items():
         np.testing.assert_array_equal(v, model.params()[k])
@@ -135,26 +125,23 @@ def test_zero_epochs_returns_initial_model():
 
 def test_training_reduces_validation_loss():
     samples = pair_samples(10, t=120, seed=3)
-    windows = build_windowed_dataset(samples, 30, 2)
     cfg = tiny_config(window_length=30, stride=2, train=tiny_train(epochs=8))
-    _, hist = train_experiment(windows, cfg)
+    _, hist = train_experiment(samples, cfg)
     assert hist.best_val_mse < hist.epochs[0]["val_mse"] * 1.01
     assert hist.epochs[-1]["train_mse"] < hist.epochs[0]["train_mse"]
 
 
 def test_training_deterministic():
     samples = pair_samples(6, t=60, seed=4)
-    windows = build_windowed_dataset(samples, 20, 5)
     cfg = tiny_config()
-    _, h1 = train_experiment(windows, cfg)
-    _, h2 = train_experiment(windows, cfg)
+    _, h1 = train_experiment(samples, cfg)
+    _, h2 = train_experiment(samples, cfg)
     assert h1.epochs == h2.epochs
 
 
 def test_training_needs_two_groups():
-    windows = build_windowed_dataset([random_sample(t=60)], 20, 5)
-    with pytest.raises(ValueError):
-        train_experiment(windows, tiny_config())
+    with pytest.raises(ValueError, match="2 groups"):
+        train_experiment([random_sample(t=60)], tiny_config())
 
 
 # prediction aggregation
@@ -281,17 +268,15 @@ def test_baseline_requires_three_groups():
 
 def test_sweep_single_count():
     samples = pair_samples(4, t=60, seed=13)
-    windows = build_windowed_dataset(samples, 20, 5)
-    rows = sweep_lstm_count(windows, [2], tiny_config(train=tiny_train(epochs=1)))
+    rows = sweep_lstm_count(samples, [2], tiny_config(train=tiny_train(epochs=1)))
     assert len(rows) == 1
     assert rows[0]["count"] == 2
 
 
 def test_sweep_rejects_empty_counts():
     samples = pair_samples(4, t=60, seed=14)
-    windows = build_windowed_dataset(samples, 20, 5)
     with pytest.raises(ValueError):
-        sweep_lstm_count(windows, [], tiny_config())
+        sweep_lstm_count(samples, [], tiny_config())
 
 
 # end-to-end helpers
