@@ -139,6 +139,32 @@ def test_training_deterministic():
     assert h1.epochs == h2.epochs
 
 
+def test_training_keeps_each_group_on_one_side(monkeypatch):
+    # six groups of two samples each, the two listed apart
+    pairs = pair_samples(12, t=60, seed=5)
+    samples = [
+        InteractionSample(p.participants, label=p.label, group_id=f"grp{i % 6}")
+        for i, p in enumerate(pairs)
+    ]
+    seen = []
+    real = experiments.build_windowed_dataset
+
+    def record(side, *args, **kwargs):
+        seen.append([s.group_id for s in side])
+        return real(side, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_windowed_dataset", record)
+    train_experiment(samples, tiny_config(train=tiny_train(epochs=1)))
+    train_side, val_side = seen
+    assert set(train_side).isdisjoint(val_side)
+    assert sorted(train_side + val_side) == sorted(s.group_id for s in samples)
+    assert all(side.count(g) == 2 for side in seen for g in side)
+    # each side keeps the samples in their given order
+    for side in seen:
+        assert side == [s.group_id for s in samples if s.group_id in side]
+    assert len(set(train_side)) == 5  # round(0.8 * 6)
+
+
 def test_training_needs_two_groups():
     with pytest.raises(ValueError, match="2 groups"):
         train_experiment([random_sample(t=60)], tiny_config())
@@ -209,6 +235,28 @@ def test_kfold_oracle_model_gives_perfect_r2(monkeypatch):
     _, report = ex.kfold_cv(samples, cfg)
     assert report.r2 == pytest.approx(1.0)
     assert report.mu_e == 0.0
+
+
+def test_kfold_rejects_a_short_sample_before_any_fold_trains(monkeypatch):
+    samples = pair_samples(8, t=60, seed=10)
+    cfg = tiny_config(train=tiny_train(epochs=1), n_folds=4)
+    # fold 0's test groups, drawn as kfold_cv draws them
+    part_seed = int(np.random.SeedSequence(cfg.seed).spawn(cfg.n_folds + 1)[0]
+                    .generate_state(1)[0])
+    first_test = partition_groups([s.group_id for s in samples], cfg.n_folds,
+                                  part_seed)[0][0]
+    samples = [
+        random_sample(t=cfg.window_length - 1, group_id=s.group_id)
+        if s.group_id == first_test else s
+        for s in samples
+    ]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the short sample was rejected")
+
+    monkeypatch.setattr(experiments, "loss_and_grads", no_training)
+    with pytest.raises(ValueError, match="window exceeds signal"):
+        kfold_cv(samples, cfg)
 
 
 def test_kfold_deterministic():
