@@ -11,9 +11,11 @@ and flags override file values.
 
 Every run writes a manifest (the resolved config with every default filled
 in, input hashes, output paths) next to its outputs; re-running with the
-same inputs and seed reproduces the result files bit-for-bit. A failed
-command prints an ``error:`` line, exits 2 and removes its partial
-outputs, and the output directory too if it created it.
+same inputs and seed reproduces the result files bit-for-bit. Outputs are
+written under temporary names and replace any earlier files only when the
+command succeeds. A failed command prints an ``error:`` line, exits 2 and
+removes its temporary files, and the output directory too if it created
+it; the files of an earlier run there are left as they were.
 
 Dataset directories carry a ``manifest.json`` of one of two kinds:
   - ``{"kind": "pairs", "pairs": [{"file": ..., "label": ...}, ...]}``
@@ -30,6 +32,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -156,10 +159,11 @@ def _sha256(path: Path) -> str:
 class RunContext:
     """Tracks inputs, outputs, and the resolved config for the manifest.
 
-    Used as a context manager around a command's work: on a clean exit it
-    writes ``run_manifest.json``; on an exception it removes every output
-    registered so far, and the output directory too if the run created it
-    and nothing else is in it.
+    Used as a context manager around a command's work. Each output is
+    written under a temporary name in the output directory; on a clean exit
+    every one is moved to its final name and then ``run_manifest.json`` is
+    written. On an exception the temporary files are removed, and the
+    output directory too if the run created it and nothing else is in it.
     """
 
     def __init__(self, command: str, out_dir: Path, config: dict):
@@ -167,7 +171,7 @@ class RunContext:
         self.out_dir = out_dir
         self.config = config
         self.inputs: dict[str, str] = {}
-        self.outputs: list[Path] = []
+        self.outputs: dict[Path, Path] = {}  # final path: temporary path
         self._created_dir = False
 
     def __enter__(self) -> "RunContext":
@@ -191,21 +195,21 @@ class RunContext:
         return path
 
     def output(self, name: str) -> Path:
-        """Register ``name`` in the output directory as an output, before
-        anything is written to it; returns its path."""
-        path = self.out_dir / name
-        self.outputs.append(path)
-        return path
+        """Register ``name`` in the output directory as an output; returns
+        the temporary path to write it to."""
+        tmp = self.out_dir / f".{name}.partial"
+        self.outputs[self.out_dir / name] = tmp
+        return tmp
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.output(name)
-        path.write_text(text)
-        return path
+    def write_text(self, name: str, text: str) -> None:
+        self.output(name).write_text(text)
 
-    def write_json(self, name: str, doc, sort_keys: bool = False) -> Path:
-        return self.write_text(name, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+    def write_json(self, name: str, doc, sort_keys: bool = False) -> None:
+        self.write_text(name, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
-    def finalize(self) -> Path:
+    def finalize(self) -> None:
+        for final, tmp in self.outputs.items():
+            os.replace(tmp, final)
         manifest = {
             "command": self.command,
             "artifact_version": __version__,
@@ -216,10 +220,11 @@ class RunContext:
         }
         path = self.out_dir / "run_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return path
 
     def cleanup(self) -> None:
-        for p in self.outputs:
+        # a directory this run created holds nothing of an earlier run
+        doomed = [*self.outputs.values(), *(self.outputs if self._created_dir else ())]
+        for p in doomed:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
@@ -296,12 +301,19 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _parse_counts(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = (int(v) for v in text.split(":"))
-        if lo > hi:
-            raise CliError(f"empty count range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    """The LSTM counts of ``--counts``: ``LO:HI`` (both included) or a comma
+    list."""
+    bad = CliError(f"bad --counts {text!r}: expected LO:HI with 1 <= LO <= HI, "
+                   "or a comma list of positive integers such as 1,3,5")
+    lo, colon, hi = text.partition(":")
+    try:
+        counts = (list(range(int(lo), int(hi) + 1)) if colon
+                  else [int(v) for v in text.split(",")])
+    except ValueError:
+        raise bad from None
+    if not counts or min(counts) < 1:
+        raise bad
+    return counts
 
 
 def _label(value, where: str) -> float:
@@ -451,8 +463,8 @@ def cmd_kfold(ctx: RunContext, config: ExperimentConfig) -> None:
 
 
 def cmd_sweep(ctx: RunContext, config: ExperimentConfig) -> None:
-    samples = load_dataset(ctx.config["data"], ctx)
     counts = _parse_counts(ctx.config["counts"])
+    samples = load_dataset(ctx.config["data"], ctx)
     rows = sweep_lstm_count(samples, counts, config)
     lines = ["count,train_error,val_error"]
     lines += [f"{r['count']},{r['train_error']!r},{r['val_error']!r}" for r in rows]

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ def test_sweep_command(tmp_path):
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "count,train_error,val_error"
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("counts", ["1:3:5", "a", "1,0", "0:2", "3:1", "1,,2", ""])
+def test_sweep_rejects_bad_counts_before_training(tmp_path, capsys, monkeypatch, counts):
+    from synchrony import experiments
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before --counts was checked")
+
+    data = datagen_dir(tmp_path)
+    monkeypatch.setattr(experiments, "loss_and_grads", no_training)
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert run(["sweep", "--data", str(data), "--counts", counts,
+                "--out", str(out)] + TINY) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: bad --counts {counts!r}: expected LO:HI with "
+                   "1 <= LO <= HI, or a comma list of positive integers such as 1,3,5\n")
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -303,6 +323,28 @@ def test_failure_removes_partial_outputs(tmp_path, capsys, monkeypatch, fault):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_failed_rerun_keeps_the_earlier_outputs(tmp_path, monkeypatch):
+    """A re-run into the same --out that fails (here: the disk fills while
+    table.txt is written) leaves the first run's files as they were."""
+    data = datagen_dir(tmp_path)
+    out = tmp_path / "b"
+    argv = ["baseline", "--data", str(data), "--folds", "3", "--out", str(out)] + TINY
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"report.json", "baseline_report.json", "table.txt",
+                           "folds.json", "run_manifest.json"}
+    real = Path.write_text
+
+    def disk_full(self, *args, **kwargs):
+        if "table.txt" in self.name:
+            raise OSError(28, "No space left on device")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert run(argv) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def write_group_fixture(tmp_path):
