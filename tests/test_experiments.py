@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -362,3 +364,14 @@ def test_latent_group_samples():
     assert len(samples) == 4
     assert all(s.n_participants == 3 for s in samples)
     assert all(0.1 <= s.label <= 0.9 for s in samples)
+
+
+def test_latent_group_samples_keep_their_bytes():
+    """The labels and member values of one small draw, pinned by SHA-256."""
+    h = hashlib.sha256()
+    for s in latent_group_samples(4, 3, 50, seed=5):
+        h.update(np.float64(s.label).tobytes())
+        for (member,) in s.participants:
+            h.update(member.values.tobytes())
+    assert h.hexdigest() == (
+        "7fd53dabacfc81d32b02e13bbd0d2e8cbf3e5043ce497840fd18107ad7cfb13f")
