@@ -50,7 +50,7 @@ from .experiments import (
     sweep_lstm_count,
     train_experiment,
 )
-from .generate import GeneratedPair, gen_dataset, preset_pairs
+from .generate import COUPLING_RANGE, GeneratedPair, gen_dataset, preset_pairs
 from .ingest import (
     AuRecording,
     aggregate_annotations,
@@ -116,7 +116,7 @@ _SETTINGS = {s.key: s for s in (
     Setting("seed", int, fields=("seed", "train.seed")),
     Setting("pairs", int, 100),
     Setting("len", int, 1000),
-    Setting("phi_range", str, "0.1:0.9", help="LO:HI coupling range"),
+    Setting("phi_range", str, "{}:{}".format(*COUPLING_RANGE), help="LO:HI coupling range"),
     Setting("preset", str, choices=("stationary", "shifted", "trended")),
     Setting("data", str, _REQUIRED, help="dataset directory with manifest.json"),
     Setting("window", int, fields=("window_length",)),

@@ -21,7 +21,7 @@ from .core import (
     normalize_sample,
     window_count,
 )
-from .generate import GeneratedPair, gen_dataset, gen_group_dataset
+from .generate import COUPLING_RANGE, GeneratedPair, gen_dataset, latent_driver_group
 from .metrics import EvalReport, build_report
 from .nn import (
     Optimizer,
@@ -182,19 +182,6 @@ def train_experiment(
         seed=tc.seed,
         cell_activation=tc.cell_activation,
     )
-    if tc.epochs == 0:
-        hist = TrainHistory(
-            epochs=(
-                {
-                    "epoch": 0,
-                    "train_mse": _eval_mse(model, x_train, y_train, tc.lookback, ws),
-                    "val_mse": _eval_mse(model, x_val, y_val, tc.lookback, ws),
-                },
-            ),
-            best_epoch=0,
-        )
-        return model, hist
-
     opt = Optimizer(tc)
     best_model = model
     best_val = np.inf
@@ -218,6 +205,9 @@ def train_experiment(
             best_val = val_mse
             best_model = model
             best_epoch = epoch
+    if not epochs:  # zero epochs: score the untrained model
+        epochs = [{"epoch": 0, "train_mse": _eval_mse(model, x_train, y_train, tc.lookback, ws),
+                   "val_mse": _eval_mse(model, x_val, y_val, tc.lookback, ws)}]
     return best_model, TrainHistory(tuple(epochs), best_epoch)
 
 
@@ -227,10 +217,12 @@ def predict_sample(
     window_length: int,
     stride: int = 1,
     aggregation: str = "mean",
-    lookback: int | None = None,
+    *,
+    lookback: int,
     normalize: bool = False,
 ) -> float:
-    """Window-level predictions aggregated to one score for the sample."""
+    """Window-level predictions, each from the last ``lookback`` frames of
+    its window, aggregated to one score for the sample."""
     x, _ = windows_to_batch(
         build_windowed_dataset([sample], window_length, stride, normalize=normalize))
     preds = _forward_chunks(model, x, lookback, None)
@@ -381,9 +373,9 @@ def recovery_pairs(
     n_test: int,
     length: int,
     seed: int,
-    phi12_range: tuple[float, float] = (0.1, 0.9),
 ) -> tuple[list[GeneratedPair], list[GeneratedPair]]:
-    """The (train, test) pairs of a covariance-recovery run.
+    """The (train, test) pairs of a covariance-recovery run, with couplings
+    drawn from ``COUPLING_RANGE``.
 
     Each set is drawn from its own child of ``seed``, so the test pairs do
     not depend on n_train, and the first k test pairs are the same for
@@ -393,8 +385,8 @@ def recovery_pairs(
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)
     )
     return (
-        gen_dataset(n_train, length, phi12_range, train_seed),
-        gen_dataset(n_test, length, phi12_range, test_seed),
+        gen_dataset(n_train, length, COUPLING_RANGE, train_seed),
+        gen_dataset(n_test, length, COUPLING_RANGE, test_seed),
     )
 
 
@@ -421,13 +413,12 @@ def covariance_recovery_experiment(
     n_test_pairs: int,
     length: int,
     config: ExperimentConfig,
-    phi12_range: tuple[float, float] = (0.1, 0.9),
 ) -> tuple[SynchronyModel, TrainHistory, EvalReport]:
     """End-to-end synthetic covariance recovery.
 
     Trains on generated pairs (group-disjoint 80/20 validation split) and
     reports percent-error metrics on freshly generated test pairs, drawn by
-    ``recovery_pairs(..., config.seed, phi12_range)``.
+    ``recovery_pairs(..., config.seed)``.
 
     Each window is fit to its pair's label from only ``lookback`` frames,
     so its output is pulled toward the mean training label, and averaging
@@ -440,8 +431,7 @@ def covariance_recovery_experiment(
     ValueError if the slope b is not positive. Deterministic given config.
     """
     train_pairs, test_pairs = recovery_pairs(
-        n_train_pairs, n_test_pairs, length, config.seed, phi12_range
-    )
+        n_train_pairs, n_test_pairs, length, config.seed)
     train_samples = [
         pair_to_sample(p, f"train_{i:04d}") for i, p in enumerate(train_pairs)
     ]
@@ -461,19 +451,18 @@ def covariance_recovery_experiment(
 
 
 def latent_group_samples(
-    n_groups: int,
-    n_members: int,
-    length: int,
-    coupling_range: tuple[float, float] = (0.1, 0.9),
-    seed: int = 0,
+    n_groups: int, n_members: int, length: int, seed: int
 ) -> list[InteractionSample]:
     """Labeled latent-driver groups ready for kfold_cv / the baseline; each
-    member is one participant with one channel."""
-    raw = gen_group_dataset(n_groups, n_members, length, coupling_range, seed)
+    member is one participant with one channel. The first child of ``seed``
+    draws the couplings from ``COUPLING_RANGE``; child i + 1 draws group i."""
+    children = np.random.SeedSequence(seed).spawn(n_groups + 1)
+    labels = np.random.default_rng(children[0]).uniform(*COUPLING_RANGE, size=n_groups)
     return [
-        InteractionSample(tuple((m,) for m in members), label=label,
-                          group_id=f"group_{i:03d}")
-        for i, (members, label) in enumerate(raw)
+        InteractionSample(
+            tuple((m,) for m in latent_driver_group(n_members, length, float(lab), child)),
+            label=float(lab), group_id=f"group_{i:03d}")
+        for i, (lab, child) in enumerate(zip(labels, children[1:]))
     ]
 
 

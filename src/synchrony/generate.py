@@ -14,6 +14,9 @@ realizes the prescribed covariance sequences circularly.
 
 The output is the REAL PART of the inverse DFT, which preserves
 Gaussianity and the prescribed second-order statistics.
+
+Synthetic couplings, of pairs and of latent-driver groups, are drawn from
+the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ TrendFn = Callable[[int, float], float]
 
 SPECTRUM_CLAMP_TOL = 1e-9
 COHERENCE_TOL = 1e-9
+COUPLING_RANGE = (0.1, 0.9)  # (lo, hi) of the uniform coupling prior
 
 # Fig.-2-style preset constants
 PRESET_LENGTH_SCALE = 5.0
@@ -197,7 +201,7 @@ def pair_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
 def gen_dataset(
     n_pairs: int,
     length: int,
-    phi12_range: tuple[float, float] = (0.1, 0.9),
+    phi12_range: tuple[float, float] = COUPLING_RANGE,
     seed: int = 0,
 ) -> list[GeneratedPair]:
     """Generate n_pairs labeled unit-variance pairs with couplings drawn
@@ -241,8 +245,9 @@ def empirical_cross_cov(xs: Sequence[TimeSeries], ys: Sequence[TimeSeries]) -> f
     return float((xmat * ymat).mean())
 
 
-def squared_exp_cov(length: int, scale: float = PRESET_LENGTH_SCALE) -> np.ndarray:
-    """Circular squared-exponential covariance sequence (near unit variance).
+def squared_exp_cov(length: int) -> np.ndarray:
+    """Circular squared-exponential covariance sequence of length scale
+    ``PRESET_LENGTH_SCALE`` (near unit variance).
 
     The wrapped kernel can have slightly negative spectral bins at short
     lengths, so it is projected onto the valid cone: negative bins are
@@ -250,7 +255,7 @@ def squared_exp_cov(length: int, scale: float = PRESET_LENGTH_SCALE) -> np.ndarr
     """
     k = np.arange(length)
     dist = np.minimum(k, length - k)
-    cov = np.exp(-(dist**2) / (2.0 * scale**2))
+    cov = np.exp(-(dist**2) / (2.0 * PRESET_LENGTH_SCALE**2))
     spectrum = np.clip(np.fft.fft(cov).real, 0.0, None)
     return np.fft.ifft(spectrum).real
 
@@ -282,12 +287,12 @@ def preset_pairs(kind: str, seed, length: int = 100) -> GeneratedPair:
 
 def latent_driver_group(
     n_members: int, length: int, coupling: float, seed
-) -> tuple[list[TimeSeries], float]:
+) -> list[TimeSeries]:
     """Members sharing a common latent driver with strength ``coupling``.
 
     Member k is sqrt(coupling) * z + sqrt(1 - coupling) * eps_k with a
     shared driver z, so every pair of members has cross-covariance
-    ``coupling`` and unit variance. Returns (members, coupling).
+    ``coupling`` and unit variance.
     """
     if not (0.0 <= coupling <= 1.0):
         raise ValueError("coupling must be in [0, 1]")
@@ -295,32 +300,11 @@ def latent_driver_group(
         raise ValueError("need at least 2 members")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(length)
-    members = [
+    return [
         TimeSeries(
             np.sqrt(coupling) * z
             + np.sqrt(1.0 - coupling) * rng.standard_normal(length)
         )
         for _ in range(n_members)
     ]
-    return members, coupling
 
-
-def gen_group_dataset(
-    n_groups: int,
-    n_members: int,
-    length: int,
-    coupling_range: tuple[float, float] = (0.1, 0.9),
-    seed: int = 0,
-) -> list[tuple[list[TimeSeries], float]]:
-    """Labeled latent-driver groups with couplings drawn uniformly."""
-    if n_groups < 1:
-        raise ValueError("n_groups must be >= 1")
-    lo, hi = coupling_range
-    if not (lo < hi):
-        raise ValueError("empty coupling range")
-    children = np.random.SeedSequence(seed).spawn(n_groups + 1)
-    labels = np.random.default_rng(children[0]).uniform(lo, hi, size=n_groups)
-    return [
-        latent_driver_group(n_members, length, float(lab), child)
-        for lab, child in zip(labels, children[1:])
-    ]

@@ -21,27 +21,22 @@ def _check_pairs(y_true, y_pred):
     return yt, yp
 
 
-def _percent_errors(y_true, y_pred, signed: bool = False) -> np.ndarray:
+def _abs_percent_errors(y_true, y_pred) -> np.ndarray:
     yt, yp = _check_pairs(y_true, y_pred)
     if np.any(yt == 0):
         raise ValueError("percent error undefined at zero ground truth")
-    e = (yt - yp) / yt
-    return e if signed else np.abs(e)
+    return np.abs((yt - yp) / yt)
 
 
 def mean_abs_percent_error(y_true, y_pred) -> float:
     """(1/N) * sum |(Y_i - Yhat_i) / Y_i|."""
-    return float(np.mean(_percent_errors(y_true, y_pred)))
+    return float(np.mean(_abs_percent_errors(y_true, y_pred)))
 
 
-def std_percent_error(y_true, y_pred, signed: bool = False) -> float:
-    """Population std of the percent errors about their own mean.
-
-    Default uses absolute percent errors, making this the companion
-    spread of mean_abs_percent_error; ``signed=True`` uses signed errors.
-    """
-    e = _percent_errors(y_true, y_pred, signed=signed)
-    return float(np.std(e))
+def std_percent_error(y_true, y_pred) -> float:
+    """Population std of the absolute percent errors about their own mean:
+    the companion spread of mean_abs_percent_error."""
+    return float(np.std(_abs_percent_errors(y_true, y_pred)))
 
 
 def r_squared(y_true, y_pred) -> float:
@@ -84,7 +79,7 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def to_table(self, row_label: str = "result") -> str:
+    def to_table(self, row_label: str) -> str:
         """Aligned plain-text table with the three headline numbers."""
         header = f"{'Data':<20}{'R^2':>12}{'MeanAbsPctErr':>16}{'StdPctErr':>14}"
         row = f"{row_label:<20}{self.r2:>12.4g}{self.mu_e:>16.4g}{self.sigma_e:>14.4g}"

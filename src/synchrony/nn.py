@@ -265,15 +265,15 @@ def _sigmoid_grad(x: np.ndarray, s: np.ndarray, scratch: np.ndarray,
 def forward_batch(
     model: SynchronyModel,
     x: np.ndarray,
-    lookback: int | None = None,
+    lookback: int,
     want_cache: bool = False,
     *,
     workspace: Workspace | None = None,
 ):
     """Run the bank over a (B, T, D) batch; returns (B,) predictions.
 
-    Only the final ``lookback`` frames are consumed (``DEFAULT_LOOKBACK``
-    when None; a lookback below 1 raises ValueError). Hidden and cell
+    Only the final ``lookback`` frames are consumed (a lookback below 1
+    raises ValueError). Hidden and cell
     states start at zero for every window (no carryover). Intermediate
     arrays live in ``workspace`` (a fresh one when None); with
     ``want_cache`` the cache returned beside the predictions holds views
@@ -281,12 +281,11 @@ def forward_batch(
     """
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
-    lb = DEFAULT_LOOKBACK if lookback is None else lookback
-    if lb <= 0:
-        raise ValueError(f"lookback must be positive, not {lb}")
-    if x.shape[1] < lb:
+    if lookback <= 0:
+        raise ValueError(f"lookback must be positive, not {lookback}")
+    if x.shape[1] < lookback:
         raise ValueError("window shorter than lookback")
-    x = x[:, -lb:, :]
+    x = x[:, -lookback:, :]
     bsz, t, d = x.shape
     n, hh = model.n_lstms, model.hidden_size
     ws = Workspace() if workspace is None else workspace
@@ -350,7 +349,7 @@ def loss_and_grads(
     model: SynchronyModel,
     x: np.ndarray,
     y: np.ndarray,
-    lookback: int | None = None,
+    lookback: int,
     *,
     workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -551,7 +550,7 @@ def finite_difference_grads(
     model: SynchronyModel,
     x: np.ndarray,
     y: np.ndarray,
-    lookback: int | None = None,
+    lookback: int,
     eps: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients of the batch loss. Oracle for BPTT;

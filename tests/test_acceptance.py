@@ -236,7 +236,7 @@ def test_c4_metric_oracles(capsys):
 
 
 def run_group_separation():
-    samples = latent_group_samples(30, 3, 400, (0.1, 0.9), seed=202)
+    samples = latent_group_samples(30, 3, 400, seed=202)
     cfg = ExperimentConfig(
         window_length=100,
         stride=2,

@@ -192,16 +192,16 @@ def test_aggregation_rules(monkeypatch):
 
     calls = iter([np.array([1.0, 2.0, 100.0])])
 
-    def fake_forward(model, x, lookback=None, workspace=None):
+    def fake_forward(model, x, lookback, workspace=None):
         return np.array([1.0, 2.0, 100.0])[: len(x)]
 
     monkeypatch.setattr(ex, "forward_batch", fake_forward)
     s = random_sample(t=30)
     m = object()
-    assert ex.predict_sample(m, s, 10, 10, aggregation="mean") == pytest.approx(
+    assert ex.predict_sample(m, s, 10, 10, aggregation="mean", lookback=5) == pytest.approx(
         np.mean([1.0, 2.0, 100.0])
     )
-    assert ex.predict_sample(m, s, 10, 10, aggregation="median") == 2.0
+    assert ex.predict_sample(m, s, 10, 10, aggregation="median", lookback=5) == 2.0
 
 
 # k-fold cross-validation

@@ -246,8 +246,7 @@ def test_preset_trended_detrends_to_stationary():
 
 
 def test_latent_driver_group_statistics():
-    members, label = latent_driver_group(3, 10**5, 0.6, 12)
-    assert label == 0.6
+    members = latent_driver_group(3, 10**5, 0.6, 12)
     for a in range(3):
         for b in range(a + 1, 3):
             cov = np.mean(members[a].values * members[b].values)

@@ -29,12 +29,8 @@ def test_std_percent_error_examples():
     assert std_percent_error([4.0, 2.0], [3.0, 3.0]) == pytest.approx(0.125, abs=1e-12)
     # equal errors -> zero spread
     assert std_percent_error([2.0, 4.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_std_percent_error_signed_mode():
-    # signed errors +0.5 and -0.5 have spread 0.5; absolute errors have 0
+    # signed errors +0.5 and -0.5: the spread is of their absolute values, 0
     assert std_percent_error([2.0, 2.0], [1.0, 3.0]) == 0.0
-    assert std_percent_error([2.0, 2.0], [1.0, 3.0], signed=True) == pytest.approx(0.5)
 
 
 def test_r_squared_examples():
