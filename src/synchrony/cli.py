@@ -32,9 +32,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -319,11 +321,14 @@ def _parse_counts(text: str) -> list[int]:
 def _label(value, where: str) -> float:
     if type(value) not in (int, float):  # not a bool, a string or null
         raise CliError(f"{where}: label {value!r} is not a number")
+    if not math.isfinite(value):
+        raise CliError(f"{where}: label {value!r} is not finite")
     return float(value)
 
 
 def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
-    """One pairs-kind manifest entry and its frame,x,y CSV."""
+    """One pairs-kind manifest entry and its frame,x,y CSV; an error names
+    the entry or the CSV."""
     if not isinstance(entry, dict) or not {"file", "label"} <= entry.keys():
         raise CliError(f"{where}: needs both 'file' and 'label'")
     if not isinstance(entry["file"], str):
@@ -331,11 +336,19 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
     path = data_dir / entry["file"]
     if ctx:
         ctx.record_input(path)
-    frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if frames.shape[1] != 3:
-        raise CliError(f"{path}: expected the 3 columns frame,x,y")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+            frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if len(frames) == 0:
+            raise ValueError("no rows below the header")
+        if frames.shape[1] != 3:
+            raise ValueError("expected the 3 columns frame,x,y")
+        x, y = TimeSeries(frames[:, 1]), TimeSeries(frames[:, 2])
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
     return InteractionSample(
-        ((TimeSeries(frames[:, 1]),), (TimeSeries(frames[:, 2]),)),
+        ((x,), (y,)),
         label=_label(entry["label"], where),
         group_id=str(entry.get("group_id", Path(entry["file"]).stem)),
     )

@@ -162,7 +162,8 @@ class SynchronyModel:
 class TrainConfig:
     """Training hyperparameters; defaults are standard robust LSTM
     practice. Adam's moment decays and epsilon are the constants
-    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. ``clip_norm`` is the
+    global gradient-norm threshold; ``inf`` never clips."""
 
     learning_rate: float = 1e-3
     epochs: int = 50
@@ -176,9 +177,15 @@ class TrainConfig:
     cell_activation: str = "tanh"
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.hidden_size,
-               self.n_lstms, self.lookback) <= 0 or self.epochs < 0:
-            raise ValueError("invalid training configuration")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+        if not self.clip_norm > 0:  # false for NaN too; inf never clips
+            raise ValueError(f"clip_norm must be > 0, not {self.clip_norm!r}")
+        for name in ("batch_size", "hidden_size", "n_lstms", "lookback"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, not {getattr(self, name)!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, not {self.epochs!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
 

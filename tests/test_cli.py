@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,10 @@ TINY = [
     "--window", "20", "--stride", "5", "--epochs", "1", "--batch-size", "32",
     "--hidden-size", "4", "--lstms", "2", "--lookback", "5", "--seed", "1",
 ]
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a model trained before the fault was caught")
 
 
 def test_datagen_writes_pairs_and_manifest(tmp_path):
@@ -114,9 +119,6 @@ def test_sweep_command(tmp_path):
 @pytest.mark.parametrize("counts", ["1:3:5", "a", "1,0", "0:2", "3:1", "1,,2", ""])
 def test_sweep_rejects_bad_counts_before_training(tmp_path, capsys, monkeypatch, counts):
     from synchrony import experiments
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("a model trained before --counts was checked")
 
     data = datagen_dir(tmp_path)
     monkeypatch.setattr(experiments, "loss_and_grads", no_training)
@@ -227,8 +229,11 @@ def _edit_manifest(data, change):
     path.write_text(json.dumps(doc))
 
 
-def _one_row_csv(data, monkeypatch):
-    (data / "pair_0000.csv").write_text("frame,x,y\n0,0.5,0.25\n")
+def _csv_rows(rows):
+    """A fault that leaves only ``rows`` below pair_0000.csv's header."""
+    def fault(data, monkeypatch):
+        (data / "pair_0000.csv").write_text("frame,x,y\n" + rows)
+    return fault
 
 
 def _label_twice(data, monkeypatch):
@@ -256,6 +261,12 @@ def _kfold_after(fault):
         data = datagen_dir(tmp_path)
         fault(data, monkeypatch)
         return ["kfold", "--data", str(data)] + TINY
+    return argv
+
+
+def _kfold_with_flags(*flags):
+    def argv(tmp_path, monkeypatch):
+        return ["kfold", "--data", str(datagen_dir(tmp_path))] + TINY + list(flags)
     return argv
 
 
@@ -293,7 +304,12 @@ FAULTS = {
         data, lambda doc: doc["pairs"][1].update(label="0.5"))),
     "missing-file": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc["pairs"][2].pop("file"))),
-    "one-row-csv": _kfold_after(_one_row_csv),
+    "one-row-csv": _kfold_after(_csv_rows("0,0.5,0.25\n")),
+    "header-only-csv": _kfold_after(_csv_rows("")),
+    "non-numeric-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,abc,0.25\n")),
+    "nan-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,nan,0.25\n")),
+    "nan-label": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][1].update(label=float("nan")))),
     "unknown-kind": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc.update(kind="triples"))),
     "duplicate-group-id": _kfold_after(
@@ -303,6 +319,9 @@ FAULTS = {
     "config-typo-key": _kfold_with_config({"epoch": 3}),
     "config-string-bool": _kfold_with_config({"normalize": "false"}),
     "config-fractional-int": _kfold_with_config({"epochs": 1.9}),
+    "negative-clip-norm": _kfold_with_flags("--clip-norm", "-5"),
+    "zero-clip-norm": _kfold_with_flags("--clip-norm", "0"),
+    "config-nan-learning-rate": _kfold_with_config({"learning_rate": float("nan")}),
     "groups-null-top-aus": _kfold_on_groups(lambda doc: doc.update(top_aus=None)),
     "groups-number-not-files": _kfold_on_groups(lambda doc: doc["groups"].update(g0=5)),
     "groups-non-string-file": _kfold_on_groups(
@@ -313,14 +332,33 @@ FAULTS = {
 }
 
 
+# what the error line of a fault must name
+NAMED = {
+    "header-only-csv": "pair_0000.csv: ",
+    "non-numeric-cell": "pair_0000.csv: ",
+    "nan-cell": "pair_0000.csv: ",
+    "nan-label": "manifest.json: pair entry 1: ",
+    "negative-clip-norm": "clip_norm",
+    "zero-clip-norm": "clip_norm",
+    "config-nan-learning-rate": "learning_rate",
+}
+
+
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_failure_removes_partial_outputs(tmp_path, capsys, monkeypatch, fault):
+    from synchrony import experiments
+
+    monkeypatch.setattr(experiments, "loss_and_grads", no_training)  # "divergence" replaces it
     argv = FAULTS[fault](tmp_path, monkeypatch)
     capsys.readouterr()
     out = tmp_path / "f"
-    assert run(argv + ["--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert NAMED.get(fault, "") in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,26 @@ def test_sgd_update_rule():
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.1, clip_norm=100.0)
     m2 = Optimizer(cfg).step(m, grads)
     assert m2.head_b == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("clip_norm", -5.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("lookback", 0), ("batch_size", -1), ("epochs", -1),
+])
+def test_train_config_rejects_values_that_break_training(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be")) as info:
+        TrainConfig(**{field: value})
+    assert str(info.value).endswith(f", not {value!r}")
+
+
+def test_infinite_clip_norm_never_clips():
+    m = zero_model()
+    grads = {k: np.zeros_like(v) for k, v in m.params().items()}
+    grads["head_b"] = np.array([1e6])
+    cfg = TrainConfig(optimizer="sgd", learning_rate=1.0, clip_norm=float("inf"))
+    assert Optimizer(cfg).step(m, grads).head_b == -1e6
 
 
 def test_global_norm_clipping():
