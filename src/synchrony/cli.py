@@ -32,7 +32,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -321,8 +320,8 @@ def _parse_counts(text: str) -> list[int]:
 def _label(value, where: str) -> float:
     if type(value) not in (int, float):  # not a bool, a string or null
         raise CliError(f"{where}: label {value!r} is not a number")
-    if not math.isfinite(value):
-        raise CliError(f"{where}: label {value!r} is not finite")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int too large
+        raise CliError(f"{where}: label {value!r} is not a finite float64")
     return float(value)
 
 

@@ -5,7 +5,8 @@ sweep.
 Samples are cut into windows here and nowhere else, by
 ``build_windowed_dataset`` and ``windows_to_batch``, for training and
 prediction alike. Splits are made on samples by group id before any window
-is cut, so all of a group lands on one side of every split.
+is cut, so all of a group lands on one side of every split. The synthetic
+experiments draw every coupling from ``generate.COUPLING_RANGE``.
 """
 
 from __future__ import annotations

@@ -307,4 +307,3 @@ def latent_driver_group(
         )
         for _ in range(n_members)
     ]
-

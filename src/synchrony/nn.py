@@ -280,11 +280,10 @@ def forward_batch(
     """Run the bank over a (B, T, D) batch; returns (B,) predictions.
 
     Only the final ``lookback`` frames are consumed (a lookback below 1
-    raises ValueError). Hidden and cell
-    states start at zero for every window (no carryover). Intermediate
-    arrays live in ``workspace`` (a fresh one when None); with
-    ``want_cache`` the cache returned beside the predictions holds views
-    into it.
+    raises ValueError). Hidden and cell states start at zero for every
+    window (no carryover). Intermediate arrays live in ``workspace`` (a
+    fresh one when None); with ``want_cache`` the cache returned beside
+    the predictions holds views into it.
     """
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")

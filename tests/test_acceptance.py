@@ -30,6 +30,8 @@ from synchrony.metrics import (
 )
 from synchrony.nn import TrainConfig, finite_difference_grads, init_model, loss_and_grads
 
+pytestmark = pytest.mark.acceptance
+
 
 def announce(capsys, criterion, ok, detail):
     with capsys.disabled():

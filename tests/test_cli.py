@@ -310,6 +310,8 @@ FAULTS = {
     "nan-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,nan,0.25\n")),
     "nan-label": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc["pairs"][1].update(label=float("nan")))),
+    "label-too-large": _kfold_after(lambda data, mp: _edit_manifest(
+        data, lambda doc: doc["pairs"][1].update(label=10**400))),
     "unknown-kind": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc.update(kind="triples"))),
     "duplicate-group-id": _kfold_after(
@@ -338,6 +340,7 @@ NAMED = {
     "non-numeric-cell": "pair_0000.csv: ",
     "nan-cell": "pair_0000.csv: ",
     "nan-label": "manifest.json: pair entry 1: ",
+    "label-too-large": "manifest.json: pair entry 1: ",
     "negative-clip-norm": "clip_norm",
     "zero-clip-norm": "clip_norm",
     "config-nan-learning-rate": "learning_rate",
