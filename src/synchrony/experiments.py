@@ -36,9 +36,6 @@ from .nn import (
     windows_to_batch,
 )
 
-PREDICT_BATCH = 1024
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a full experiment run needs."""
@@ -133,19 +130,8 @@ def _batch(samples, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         samples, config.window_length, config.stride, normalize=config.normalize))
 
 
-def _forward_chunks(model, x, lookback, workspace) -> np.ndarray:
-    """Predictions for every window of ``x``, ``PREDICT_BATCH`` at a time."""
-    return np.concatenate(
-        [
-            forward_batch(model, x[i : i + PREDICT_BATCH], lookback=lookback,
-                          workspace=workspace)
-            for i in range(0, len(x), PREDICT_BATCH)
-        ]
-    )
-
-
 def _eval_mse(model, x, y, lookback, workspace) -> float:
-    return mse_loss(_forward_chunks(model, x, lookback, workspace), y)
+    return mse_loss(forward_batch(model, x, lookback=lookback, workspace=workspace), y)
 
 
 def train_experiment(
@@ -226,7 +212,7 @@ def predict_sample(
     its window, aggregated to one score for the sample."""
     x, _ = windows_to_batch(
         build_windowed_dataset([sample], window_length, stride, normalize=normalize))
-    preds = _forward_chunks(model, x, lookback, None)
+    preds = forward_batch(model, x, lookback=lookback)
     if aggregation == "mean":
         return float(np.mean(preds))
     if aggregation == "median":

@@ -29,8 +29,8 @@ and a batch of B, the forward cache (``want_cache=True``) holds:
   before the ReLU.
 
 The pre-activations are not kept: the ReLU derivative is read from the
-post-activation, since (g > 0) equals (pre > 0). Without a cache the same
-buffers hold one step and two states. Cache arrays are views into the
+post-activation, since (g > 0) equals (pre > 0). Without a cache they
+hold one step and two states of one chunk. Cache arrays are views into the
 workspace and are overwritten by the next call on it; predictions and
 gradients are fresh arrays. A workspace belongs to one caller at a time
 (``kfold_cv`` and ``sweep_lstm_count`` reuse one across their training
@@ -71,6 +71,7 @@ from .core import WindowedDataset, window_view
 
 DEFAULT_LOOKBACK = 30
 WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
+INFER_CHUNK = 64  # windows per bank pass without a cache
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -269,35 +270,13 @@ def _sigmoid_grad(x: np.ndarray, s: np.ndarray, scratch: np.ndarray,
     np.multiply(x, scratch, out=out)
 
 
-def forward_batch(
-    model: SynchronyModel,
-    x: np.ndarray,
-    lookback: int,
-    want_cache: bool = False,
-    *,
-    workspace: Workspace | None = None,
-):
-    """Run the bank over a (B, T, D) batch; returns (B,) predictions.
-
-    Only the final ``lookback`` frames are consumed (a lookback below 1
-    raises ValueError). Hidden and cell states start at zero for every
-    window (no carryover). Intermediate arrays live in ``workspace`` (a
-    fresh one when None); with ``want_cache`` the cache returned beside
-    the predictions holds views into it.
-    """
-    if x.ndim != 3 or x.shape[2] != model.input_size:
-        raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
-    if lookback <= 0:
-        raise ValueError(f"lookback must be positive, not {lookback}")
-    if x.shape[1] < lookback:
-        raise ValueError("window shorter than lookback")
-    x = x[:, -lookback:, :]
+def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int):
+    """The bank over (B, T, D) frames in ``ws``, keeping the last ``keep``
+    steps; returns the final hidden states as a (B, n, H) view and the
+    gates, c, h and tc buffers."""
     bsz, t, d = x.shape
     n, hh = model.n_lstms, model.hidden_size
-    ws = Workspace() if workspace is None else workspace
     act = np.tanh if model.cell_activation == "tanh" else _relu
-    # a cache keeps every step; inference keeps one step and two states
-    keep = t if want_cache else 1
 
     # input projection, time-major: row ti * B + b of each LSTM's block
     xt = ws._get("x_time_major", (1, t * bsz, d))
@@ -333,12 +312,47 @@ def forward_batch(
             np.add(cs[cur], ig, out=cs[cur])
             act(cs[cur], out=tcs[s])
             np.multiply(o, tcs[s], out=hs[cur])
-    hcat = hs[t % (keep + 1)].transpose(1, 0, 2).reshape(bsz, n * hh)
+    hfinal = hs[t % (keep + 1)].transpose(1, 0, 2)
+    return hfinal, {"gates": gates, "c": cs, "h": hs, "tc": tcs}
+
+
+def forward_batch(
+    model: SynchronyModel,
+    x: np.ndarray,
+    lookback: int,
+    want_cache: bool = False,
+    *,
+    workspace: Workspace | None = None,
+):
+    """Run the bank over a (B, T, D) batch; returns (B,) predictions.
+
+    Only the final ``lookback`` frames are consumed (a lookback below 1
+    raises ValueError). Hidden and cell states start at zero for every
+    window (no carryover). Intermediate arrays live in ``workspace`` (a
+    fresh one when None); with ``want_cache`` the cache returned beside
+    the predictions holds views into it. Without it the bank runs in
+    chunks of at most ``INFER_CHUNK`` windows, the head over the batch.
+    """
+    if x.ndim != 3 or x.shape[2] != model.input_size:
+        raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
+    if lookback <= 0:
+        raise ValueError(f"lookback must be positive, not {lookback}")
+    if x.shape[1] < lookback:
+        raise ValueError("window shorter than lookback")
+    x = x[:, -lookback:, :]
+    ws = Workspace() if workspace is None else workspace
+    if want_cache:
+        hcat, cache = _run_bank(model, x, ws, keep=lookback)
+    else:
+        parts = max(1, math.ceil(len(x) / INFER_CHUNK))  # one empty chunk for B = 0
+        hcat = np.empty((len(x), model.n_lstms, model.hidden_size))
+        for xc, out in zip(np.array_split(x, parts), np.array_split(hcat, parts)):
+            out[...] = _run_bank(model, xc, ws, keep=1)[0]
+    hcat = hcat.reshape(len(x), -1)
     z = hcat @ model.head_w + model.head_b
     pred = np.maximum(z, 0.0)
     if want_cache:
-        return pred, {"x": x, "gates": gates, "c": cs, "h": hs, "tc": tcs,
-                      "hcat": hcat, "z": z}
+        return pred, {"x": x, **cache, "hcat": hcat, "z": z}
     return pred
 
 
