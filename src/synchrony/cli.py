@@ -336,13 +336,25 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
     if ctx:
         ctx.record_input(path)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-            frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+                frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_bad_line(path) or str(exc)) from None
         if len(frames) == 0:
             raise ValueError("no rows below the header")
         if frames.shape[1] != 3:
             raise ValueError("expected the 3 columns frame,x,y")
+        # frames are whole numbers that count up by 1, as ingest.load_au_csv asks
+        frame = frames[:, 0]
+        breaks = np.flatnonzero(~np.isfinite(frame)
+                                | (frame != np.round(frame[0]) + np.arange(len(frame))))
+        if breaks.size:
+            k = breaks[0]
+            after = f" after {frame[k - 1]:.15g}" if k else ""
+            raise ValueError(f"line {_data_lines(path)[k][0]}: frame {frame[k]:.15g}{after}; "
+                             "frames must be whole numbers that count up by 1")
         x, y = TimeSeries(frames[:, 1]), TimeSeries(frames[:, 2])
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
@@ -351,6 +363,30 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
         label=_label(entry["label"], where),
         group_id=str(entry.get("group_id", Path(entry["file"]).stem)),
     )
+
+
+def _data_lines(path: Path) -> list[tuple[int, str]]:
+    """(file line, text) of each row ``np.loadtxt`` reads from a pair CSV:
+    every line below the header, with ``#`` comments cut and blank lines
+    skipped. Read only to place an error; the header is line 1."""
+    with open(path) as fh:
+        lines = [(n, line.split("#", 1)[0].strip()) for n, line in enumerate(fh, start=1)]
+    return [(n, text) for n, text in lines[1:] if text]
+
+
+def _bad_line(path: Path) -> str | None:
+    """Where and why a pair CSV that ``np.loadtxt`` rejected is not rows of
+    3 numbers; None when no line shows it."""
+    for n, text in _data_lines(path):
+        cells = text.split(",")
+        if len(cells) != 3:
+            return f"line {n}: {len(cells)} columns, expected the 3 columns frame,x,y"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {n}: not a number: {cell.strip()!r}"
+    return None
 
 
 def _load_groups(

@@ -236,6 +236,11 @@ def _csv_rows(rows):
     return fault
 
 
+def _frames(frames):
+    """Rows numbered ``frames``, each long enough for TINY's window."""
+    return "".join(f"{f},0.5,0.25\n" for f in frames)
+
+
 def _label_twice(data, monkeypatch):
     path = data / "manifest.json"
     text = path.read_text()
@@ -308,6 +313,9 @@ FAULTS = {
     "header-only-csv": _kfold_after(_csv_rows("")),
     "non-numeric-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,abc,0.25\n")),
     "nan-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,nan,0.25\n")),
+    "swapped-frames": _kfold_after(_csv_rows(_frames([0, 1, 2, 4, 3, *range(5, 60)]))),
+    "frame-gap": _kfold_after(_csv_rows(_frames([*range(10), *range(11, 61)]))),
+    "fractional-frame": _kfold_after(_csv_rows(_frames([f + 0.5 for f in range(60)]))),
     "nan-label": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc["pairs"][1].update(label=float("nan")))),
     "label-too-large": _kfold_after(lambda data, mp: _edit_manifest(
@@ -337,7 +345,10 @@ FAULTS = {
 # what the error line of a fault must name
 NAMED = {
     "header-only-csv": "pair_0000.csv: ",
-    "non-numeric-cell": "pair_0000.csv: ",
+    "non-numeric-cell": "pair_0000.csv: line 3: ",
+    "swapped-frames": "pair_0000.csv: line 5: ",
+    "frame-gap": "pair_0000.csv: line 12: ",
+    "fractional-frame": "pair_0000.csv: line 2: ",
     "nan-cell": "pair_0000.csv: ",
     "nan-label": "manifest.json: pair entry 1: ",
     "label-too-large": "manifest.json: pair entry 1: ",
