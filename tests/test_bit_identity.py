@@ -173,6 +173,18 @@ def test_step_bit_identical_with_fresh_workspace(activation, bsz):
     assert_step_identical(model, *batch(bsz, d=3), None)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("bsz", (65, 129, 1025))
+def test_chunked_inference_bit_identical(activation, bsz):
+    """Without a cache the bank runs in chunks of at most INFER_CHUNK
+    windows: uneven chunks, and one window past a multiple of 64 and of
+    1024, must still give the one-batch predictions."""
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
+    x, _ = batch(bsz, d=3)
+    pred = forward_batch(model, x, lookback=LOOKBACK)
+    assert np.array_equal(pred, reference_forward_batch(model, x, lookback=LOOKBACK))
+
+
 def test_results_survive_the_next_call_on_the_workspace():
     model = init_model(2, n_lstms=3, hidden_size=8, seed=6)
     ws = Workspace()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synchrony.nn import (
+    INFER_CHUNK,
     WORKSPACE_ALIGN,
     ModelFormatError,
     Optimizer,
@@ -169,6 +170,27 @@ def test_workspace_buffers_are_aligned(monkeypatch):
         loss_and_grads(m, x, y, lookback=5, workspace=ws)
         forward_batch(m, x, lookback=6, workspace=ws)
     assert misaligned == []
+
+
+def test_inference_workspace_does_not_grow_with_the_batch():
+    """Without a cache the bank runs one chunk of at most INFER_CHUNK
+    windows at a time, so the workspace holds what one such chunk needs
+    (12.6 MiB at 6 x 32 LSTMs) at any batch size."""
+    m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
+    x, _ = random_batch(5000, w=30, seed=1)
+
+    def held(ws):
+        return sum(buf.nbytes for buf in ws._buffers.values())
+
+    ws = Workspace()
+    forward_batch(m, x[:901], lookback=30, workspace=ws)
+    after_901 = held(ws)
+    assert after_901 < 16 * 2**20
+    forward_batch(m, x, lookback=30, workspace=ws)
+    one_chunk = Workspace()
+    forward_batch(m, x[:INFER_CHUNK], lookback=30, workspace=one_chunk)
+    # 901 windows split into chunks of 61 and 60, 5000 into 64 and 63
+    assert after_901 <= held(ws) == held(one_chunk) < 16 * 2**20
 
 
 def test_forward_dimension_mismatch():
