@@ -237,7 +237,8 @@ def _csv_rows(rows):
 
 
 def _frames(frames):
-    """Rows numbered ``frames``, each long enough for TINY's window."""
+    """CSV rows numbered ``frames``; 60 of them are enough for TINY's
+    window, so only the frame check can stop the run."""
     return "".join(f"{f},0.5,0.25\n" for f in frames)
 
 
@@ -316,6 +317,8 @@ FAULTS = {
     "swapped-frames": _kfold_after(_csv_rows(_frames([0, 1, 2, 4, 3, *range(5, 60)]))),
     "frame-gap": _kfold_after(_csv_rows(_frames([*range(10), *range(11, 61)]))),
     "fractional-frame": _kfold_after(_csv_rows(_frames([f + 0.5 for f in range(60)]))),
+    "frame-gap-after-comment": _kfold_after(_csv_rows(
+        _frames(range(5)) + "# a comment line\n\n" + _frames(range(6, 61)))),
     "nan-label": _kfold_after(lambda data, mp: _edit_manifest(
         data, lambda doc: doc["pairs"][1].update(label=float("nan")))),
     "label-too-large": _kfold_after(lambda data, mp: _edit_manifest(
@@ -349,6 +352,7 @@ NAMED = {
     "swapped-frames": "pair_0000.csv: line 5: ",
     "frame-gap": "pair_0000.csv: line 12: ",
     "fractional-frame": "pair_0000.csv: line 2: ",
+    "frame-gap-after-comment": "pair_0000.csv: line 9: ",
     "nan-cell": "pair_0000.csv: ",
     "nan-label": "manifest.json: pair entry 1: ",
     "label-too-large": "manifest.json: pair entry 1: ",
