@@ -367,10 +367,11 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
     """(file line, text) of each row ``np.loadtxt`` reads from a pair CSV:
-    every line below the header, with ``#`` comments cut and blank lines
-    skipped. Read only to place an error; the header is line 1."""
+    every line below the header with its ``#`` comment cut, unless nothing
+    is left (a line of spaces is a row). Read only to place an error; the
+    header is line 1."""
     with open(path) as fh:
-        lines = [(n, line.split("#", 1)[0].strip()) for n, line in enumerate(fh, start=1)]
+        lines = [(n, line.rstrip("\n").split("#", 1)[0]) for n, line in enumerate(fh, start=1)]
     return [(n, text) for n, text in lines[1:] if text]
 
 
@@ -380,7 +381,7 @@ def _bad_line(path: Path) -> str | None:
     for n, text in _data_lines(path):
         cells = text.split(",")
         if len(cells) != 3:
-            return f"line {n}: {len(cells)} columns, expected the 3 columns frame,x,y"
+            return f"line {n}: expected the 3 columns frame,x,y, found {len(cells)}"
         for cell in cells:
             try:
                 float(cell)
