@@ -19,7 +19,8 @@ it; the files of an earlier run there are left as they were.
 
 Dataset directories carry a ``manifest.json`` of one of two kinds:
   - ``{"kind": "pairs", "pairs": [{"file": ..., "label": ...}, ...]}``
-    with per-pair CSVs (columns frame,x,y), as written by ``datagen``.
+    with per-pair CSVs (columns frame,x,y), as written by ``datagen`` and
+    read by ``ingest.read_frame_csv`` under the AU CSVs' frame rule.
   - ``{"kind": "groups", "groups": {gid: [au_csv, ...]}, "labels":
     {gid: score}, "top_aus": int}`` referencing AU CSVs, as written by
     ``ingest``. ``ingest`` reads the same groups and labels, as two files,
@@ -35,12 +36,9 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .core import InteractionSample, TimeSeries
@@ -58,6 +56,7 @@ from .ingest import (
     group_to_sample,
     load_annotation_csv,
     load_au_csv,
+    read_frame_csv,
     select_top_aus,
 )
 from .nn import TrainConfig, save_model
@@ -335,59 +334,14 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
     path = data_dir / entry["file"]
     if ctx:
         ctx.record_input(path)
-    try:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-                frames = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(_bad_line(path) or str(exc)) from None
-        if len(frames) == 0:
-            raise ValueError("no rows below the header")
-        if frames.shape[1] != 3:
-            raise ValueError("expected the 3 columns frame,x,y")
-        # frames are whole numbers that count up by 1, as ingest.load_au_csv asks
-        frame = frames[:, 0]
-        breaks = np.flatnonzero(~np.isfinite(frame)
-                                | (frame != np.round(frame[0]) + np.arange(len(frame))))
-        if breaks.size:
-            k = breaks[0]
-            after = f" after {frame[k - 1]:.15g}" if k else ""
-            raise ValueError(f"line {_data_lines(path)[k][0]}: frame {frame[k]:.15g}{after}; "
-                             "frames must be whole numbers that count up by 1")
-        x, y = TimeSeries(frames[:, 1]), TimeSeries(frames[:, 2])
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    names, values = read_frame_csv(path)
+    if len(names) != 2:
+        raise CliError(f"{path}: expected the 3 columns frame,x,y")
     return InteractionSample(
-        ((x,), (y,)),
+        ((TimeSeries(values[:, 0]),), (TimeSeries(values[:, 1]),)),
         label=_label(entry["label"], where),
         group_id=str(entry.get("group_id", Path(entry["file"]).stem)),
     )
-
-
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    """(file line, text) of each row ``np.loadtxt`` reads from a pair CSV:
-    every line below the header with its ``#`` comment cut, unless nothing
-    is left (a line of spaces is a row). Read only to place an error; the
-    header is line 1."""
-    with open(path) as fh:
-        lines = [(n, line.rstrip("\n").split("#", 1)[0]) for n, line in enumerate(fh, start=1)]
-    return [(n, text) for n, text in lines[1:] if text]
-
-
-def _bad_line(path: Path) -> str | None:
-    """Where and why a pair CSV that ``np.loadtxt`` rejected is not rows of
-    3 numbers; None when no line shows it."""
-    for n, text in _data_lines(path):
-        cells = text.split(",")
-        if len(cells) != 3:
-            return f"line {n}: expected the 3 columns frame,x,y, found {len(cells)}"
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return f"line {n}: not a number: {cell.strip()!r}"
-    return None
 
 
 def _load_groups(

@@ -1,9 +1,10 @@
-"""Facial action-unit CSV loading, activity-based channel selection, and
+"""Frame-CSV reading, activity-based action-unit (AU) selection, and
 multi-annotator label aggregation.
 
 File formats:
-  - AU CSV, one participant per file: header ``frame,AU01,AU02,...``,
-    contiguous integer frame index, decimal intensities.
+  - Frame CSV, read by ``read_frame_csv``: header ``frame,NAME,...``, whole
+    frame numbers counting up by 1, finite values. An AU CSV (one
+    participant, ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
     an ordered list of participant CSV paths (order defines channel-set
     position).
@@ -13,6 +14,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,49 +58,77 @@ class AnnotationSet:
                 )
 
 
-def load_au_csv(path) -> AuRecording:
-    """Load one participant's AU CSV, validating the frame column; the
-    participant id is the file name without its suffix."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
+    """The value-column names and (T, C) float64 values of a frame CSV.
+
+    The header is ``frame,NAME,...``; each row below it holds a frame
+    number and one finite value per name, and frame numbers are whole and
+    count up by 1. ``#`` comments and blank lines are skipped. A file that
+    breaks the rule raises IngestError naming the path and, when a line is
+    at fault, the file line, counting the header as line 1.
+    """
+    with open(path) as fh:
+        line = fh.readline()
+        if not line:
+            raise IngestError(f"{path}: empty file")
+        header = [h.strip() for h in line.split(",")]
+        if header[0] != "frame" or len(header) < 2:
+            raise IngestError(f"{path}: line 1: missing columns (expected "
+                              f"'frame,NAME,...'), found {line.strip()!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path.name}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "frame" or len(header) < 2:
-            raise IngestError(f"{path.name}: missing columns (expected 'frame,AU...')")
-        au_ids = header[1:]
-        columns: list[list[float]] = [[] for _ in au_ids]
-        prev_frame = None
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path.name}: wrong column count at row {row_num}"
-                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise IngestError(f"{path}: {_bad_line(path, len(header)) or exc}") from None
+    if len(rows) == 0:
+        raise IngestError(f"{path}: no data rows")
+    if rows.shape[1] != len(header):
+        raise IngestError(f"{path}: {_bad_line(path, len(header))}")
+    frame = rows[:, 0]
+    finite = np.isfinite(rows).all(axis=1)
+    breaks = np.flatnonzero(~finite | (frame != np.round(frame[0]) + np.arange(len(rows))))
+    if breaks.size:
+        k = breaks[0]
+        n = _data_lines(path)[k][0]
+        if not finite[k]:
+            raise IngestError(f"{path}: line {n}: non-finite value")
+        after = f" after {frame[k - 1]:.15g}" if k else ""
+        raise IngestError(f"{path}: line {n}: frame {frame[k]:.15g}{after}; "
+                          "frames must be whole numbers that count up by 1")
+    return header[1:], rows[:, 1:]
+
+
+def _data_lines(path) -> list[tuple[int, str]]:
+    """(file line, text) of each row ``np.loadtxt`` reads below the header
+    of a frame CSV: each line with its ``#`` comment cut, unless nothing is
+    left (a line of spaces is a row). Read only to place an error."""
+    with open(path) as fh:
+        lines = [(n, line.rstrip("\n").split("#", 1)[0]) for n, line in enumerate(fh, start=1)]
+    return [(n, text) for n, text in lines[1:] if text]
+
+
+def _bad_line(path, n_columns: int) -> str | None:
+    """Where and why a frame CSV is not rows of ``n_columns`` numbers; None
+    when no line shows it."""
+    for n, text in _data_lines(path):
+        cells = text.split(",")
+        if len(cells) != n_columns:
+            return f"line {n}: expected the {n_columns} columns of the header, found {len(cells)}"
+        for cell in cells:
             try:
-                frame = int(row[0])
-                values = [float(v) for v in row[1:]]
+                float(cell)
             except ValueError:
-                raise IngestError(
-                    f"{path.name}: unparsable value at row {row_num}"
-                ) from None
-            if prev_frame is not None and frame != prev_frame + 1:
-                raise IngestError(
-                    f"{path.name}: non-contiguous frames at row {row_num}"
-                )
-            prev_frame = frame
-            for col, v in zip(columns, values):
-                if not np.isfinite(v):
-                    raise IngestError(
-                        f"{path.name}: non-finite value at row {row_num}"
-                    )
-                col.append(v)
-        if prev_frame is None:
-            raise IngestError(f"{path.name}: no data rows")
-    channels = {au: TimeSeries(col) for au, col in zip(au_ids, columns)}
-    return AuRecording(participant_id=path.stem, au_channels=channels)
+                return f"line {n}: not a number: {cell.strip()!r}"
+    return None
+
+
+def load_au_csv(path) -> AuRecording:
+    """One participant's AU frame CSV; the participant id is the file name
+    without its suffix."""
+    names, values = read_frame_csv(path)
+    channels = {au: TimeSeries(col) for au, col in zip(names, values.T)}
+    return AuRecording(participant_id=Path(path).stem, au_channels=channels)
 
 
 def mean_average_deviation(series: TimeSeries) -> float:

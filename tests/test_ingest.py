@@ -44,7 +44,7 @@ def test_load_detects_frame_gap(tmp_path):
         return lines[:11] + lines[12:]
 
     path = write_au_csv(tmp_path / "p.csv", mutate=drop_row)
-    with pytest.raises(IngestError, match="non-contiguous frames at row 12"):
+    with pytest.raises(IngestError, match="p.csv: line 12: "):
         load_au_csv(path)
 
 
@@ -72,7 +72,7 @@ def test_load_rejects_missing_columns(tmp_path):
 def test_load_rejects_non_finite(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("frame,AU01\n0,1.0\n1,inf\n")
-    with pytest.raises(IngestError, match="non-finite value at row 3"):
+    with pytest.raises(IngestError, match="n.csv: line 3: non-finite"):
         load_au_csv(path)
 
 
