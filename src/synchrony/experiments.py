@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     InteractionSample,
+    TimeSeries,
     WindowedDataset,
     check_window,
     normalize_sample,
@@ -296,7 +297,8 @@ def make_chimera(
     rng: np.random.Generator,
 ) -> InteractionSample:
     """Keep one member of the group, replace the others with members drawn
-    from distinct donor groups; the original label is retained."""
+    from distinct donor groups; the original label is retained. Every
+    member is cut to the frame count of the shortest."""
     k = sample.n_participants
     if len(donors) < k - 1:
         raise ValueError("need at least K-1 donor groups")
@@ -312,6 +314,8 @@ def make_chimera(
             member = int(rng.integers(donor.n_participants))
             parts.append(donor.participants[member])
             di += 1
+    n = min(len(cs[0]) for cs in parts)
+    parts = [tuple(TimeSeries(ts.values[:n]) for ts in cs) for cs in parts]
     return InteractionSample(
         tuple(parts), label=sample.label, group_id=f"{sample.group_id}:chimera"
     )

@@ -294,6 +294,30 @@ def test_chimera_construction():
         assert kept == 1
 
 
+def test_chimera_of_groups_of_different_lengths():
+    """Members drawn from groups of 90, 60, 70 and 80 frames are cut to the
+    shortest member, after the same draws as from groups of one length."""
+    lengths = (90, 60, 70, 80)
+    full = [random_sample(k=3, t=90, group_id=f"g{i}", seed=i) for i in range(4)]
+    cut = [
+        InteractionSample(tuple((TimeSeries(cs[0].values[:t]),) for cs in s.participants),
+                          label=s.label, group_id=s.group_id)
+        for s, t in zip(full, lengths)
+    ]
+    rng_full, rng_cut = np.random.default_rng(0), np.random.default_rng(0)
+    for _ in range(20):
+        whole = make_chimera(full[0], full[1:], rng_full)
+        chim = make_chimera(cut[0], cut[1:], rng_cut)
+        origin = [
+            next(t for s, t in zip(full, lengths)
+                 if any(np.array_equal(m[0].values, cs[0].values) for cs in s.participants))
+            for m in whole.participants
+        ]
+        assert chim.n_frames == min(origin)
+        for m, w in zip(chim.participants, whole.participants):
+            assert np.array_equal(m[0].values, w[0].values[:chim.n_frames])
+
+
 def test_baseline_scores_against_original_labels():
     samples = pair_samples(6, t=60, seed=11)
     cfg = tiny_config(train=tiny_train(epochs=0), n_folds=3)
