@@ -349,8 +349,8 @@ def _load_groups(
 ) -> list[tuple[InteractionSample, list[AuRecording]]]:
     """Each group of a groups mapping ({gid: [AU CSV relative to base, ...]})
     as a labelled sample of its ``top_aus`` most active AUs, with its
-    recordings. A malformed mapping, labels object or ``top_aus`` raises
-    CliError."""
+    recordings. A malformed mapping, labels object or ``top_aus``, or a
+    group whose recordings make no sample, raises CliError naming it."""
     if not isinstance(groups, dict) or not isinstance(labels, dict):
         raise CliError(f"{where}: 'groups' and 'labels' must be objects")
     if type(top_aus) is not int or top_aus < 1:
@@ -368,7 +368,11 @@ def _load_groups(
             if ctx:
                 ctx.record_input(path)
             recs.append(load_au_csv(path))
-        loaded.append((group_to_sample(recs, label, gid, k=top_aus), recs))
+        try:
+            sample = group_to_sample(recs, label, gid, k=top_aus)
+        except ValueError as exc:
+            raise CliError(f"{where}: group {gid!r}: {exc}") from None
+        loaded.append((sample, recs))
     return loaded
 
 

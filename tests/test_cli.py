@@ -293,13 +293,27 @@ def _kfold_on_groups(change):
     return argv
 
 
-def _ingest_with_labels(text):
+def _ingest_after(fault):
+    """ingest of the group fixture after ``fault(src)`` broke it."""
     def argv(tmp_path, monkeypatch):
         src = write_group_fixture(tmp_path)
-        (src / "labels.json").write_text(text)
+        fault(src)
         return ["ingest", "--manifest", str(src / "groups.json"),
                 "--labels", str(src / "labels.json")]
     return argv
+
+
+def _ingest_with_labels(text):
+    return _ingest_after(lambda src: (src / "labels.json").write_text(text))
+
+
+def _rewrite_au_csv(name, change):
+    """A fault that replaces the lines of the fixture's AU CSV ``name`` by
+    ``change(lines)``."""
+    def fault(src):
+        path = src / name
+        path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+    return fault
 
 
 FAULTS = {
@@ -342,6 +356,10 @@ FAULTS = {
     "ingest-null-label": _ingest_with_labels('{"g0": null, "g1": 2.0, "g2": 3.0}'),
     "ingest-label-twice": _ingest_with_labels(
         '{"g0": 1.0, "g1": 2.0, "g2": 3.0, "g0": 1.5}'),
+    "ingest-member-longer": _ingest_after(_rewrite_au_csv(
+        "g1_p1.csv", lambda lines: lines + [f"{i},1,2,3,4" for i in range(60, 65)])),
+    "ingest-too-few-shared-aus": _ingest_after(_rewrite_au_csv(
+        "g1_p2.csv", lambda lines: [line.rsplit(",", 2)[0] for line in lines])),
 }
 
 
@@ -353,12 +371,14 @@ NAMED = {
     "frame-gap": "pair_0000.csv: line 12: ",
     "fractional-frame": "pair_0000.csv: line 2: ",
     "frame-gap-after-comment": "pair_0000.csv: line 9: ",
-    "nan-cell": "pair_0000.csv: ",
+    "nan-cell": "pair_0000.csv: line 3: ",
     "nan-label": "manifest.json: pair entry 1: ",
     "label-too-large": "manifest.json: pair entry 1: ",
     "negative-clip-norm": "clip_norm",
     "zero-clip-norm": "clip_norm",
     "config-nan-learning-rate": "learning_rate",
+    "ingest-member-longer": "group 'g1': ",
+    "ingest-too-few-shared-aus": "group 'g1': ",
 }
 
 
@@ -403,18 +423,19 @@ def test_failed_rerun_keeps_the_earlier_outputs(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def write_group_fixture(tmp_path):
+def write_group_fixture(tmp_path, lengths=(60, 60, 60)):
+    """Three groups of three AU CSVs, group g holding ``lengths[g]`` frames."""
     rng = np.random.default_rng(0)
     src = tmp_path / "src"
     src.mkdir()
     groups = {}
     labels = {}
-    for g in range(3):
+    for g, length in enumerate(lengths):
         files = []
         for p in range(3):
             name = f"g{g}_p{p}.csv"
             lines = ["frame,AU01,AU02,AU04,AU06"]
-            for i in range(60):
+            for i in range(length):
                 vals = ",".join(f"{v:.4f}" for v in rng.uniform(0, 5, 4))
                 lines.append(f"{i},{vals}")
             (src / name).write_text("\n".join(lines) + "\n")
@@ -426,8 +447,8 @@ def write_group_fixture(tmp_path):
     return src
 
 
-def ingested_dir(tmp_path):
-    src = write_group_fixture(tmp_path)
+def ingested_dir(tmp_path, lengths=(60, 60, 60)):
+    src = write_group_fixture(tmp_path, lengths)
     out = tmp_path / "ingested"
     assert run([
         "ingest", "--manifest", str(src / "groups.json"),
@@ -448,6 +469,16 @@ def test_ingest_command(tmp_path):
     kout = tmp_path / "gk"
     assert run(["kfold", "--data", str(out), "--folds", "3",
                 "--out", str(kout), "--normalize"] + TINY) == 0
+
+
+def test_baseline_on_groups_of_different_lengths(tmp_path):
+    """The chimeric control mixes members of groups of 60, 70 and 80
+    frames."""
+    data = ingested_dir(tmp_path, lengths=(60, 70, 80))
+    out = tmp_path / "b"
+    assert run(["baseline", "--data", str(data), "--folds", "3",
+                "--out", str(out)] + TINY) == 0
+    assert (out / "baseline_report.json").exists()
 
 
 def test_annotate_command(tmp_path):

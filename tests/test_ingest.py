@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from synchrony.cli import load_dataset
 from synchrony.core import TimeSeries
 from synchrony.ingest import (
     AnnotationSet,
@@ -74,6 +77,54 @@ def test_load_rejects_non_finite(tmp_path):
     path.write_text("frame,AU01\n0,1.0\n1,inf\n")
     with pytest.raises(IngestError, match="n.csv: line 3: non-finite"):
         load_au_csv(path)
+
+
+def _rows(frames):
+    return "".join(f"{f},0.5,0.25\n" for f in frames)
+
+
+# A frame CSV body with ``{}`` for its two value-column names, and the start
+# of the error after the file's path, or None for a file that loads.
+FRAME_CSV_FAULTS = {
+    "swapped-frames": ("frame,{}\n" + _rows([0, 1, 2, 4, 3, 5]), "line 5: frame 4 after 2"),
+    "frame-gap": ("frame,{}\n" + _rows([*range(10), *range(11, 20)]), "line 12: frame 11"),
+    "fractional-frame": ("frame,{}\n" + _rows([0, 1, 1.5, 2]), "line 4: frame 1.5"),
+    "float-style-frames": ("frame,{}\n" + _rows(["0.0", "1.0", "2.0"]), None),
+    "gap-after-comment": ("frame,{}\n" + _rows(range(5)) + "# a comment\n\n" + _rows([6, 7]),
+                          "line 9: frame 6 after 4"),
+    "non-numeric-cell": ("frame,{}\n0,0.5,0.25\n1,abc,0.25\n", "line 3: not a number: 'abc'"),
+    "quoted-cell": ('frame,{}\n0,0.5,0.25\n1,"0.5",0.25\n', "line 3: not a number"),
+    "nan-cell": ("frame,{}\n0,0.5,0.25\n1,nan,0.25\n", "line 3: non-finite"),
+    "inf-cell": ("frame,{}\n0,0.5,0.25\n1,0.5,-inf\n", "line 3: non-finite"),
+    "ragged-row": ("frame,{}\n0,0.5,0.25\n1,0.5\n", "line 3: expected the 3 columns"),
+    "header-only": ("frame,{}\n", "no data rows"),
+    "empty-file": ("", "empty file"),
+    "first-header-cell": ("time,{}\n" + _rows(range(3)), "line 1: missing columns"),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_CSV_FAULTS))
+def test_frame_csv_rule_is_shared(tmp_path, case):
+    """An AU CSV and a pair CSV with the same body load, or fail at the
+    same line with the same message."""
+    body, expected = FRAME_CSV_FAULTS[case]
+    au = tmp_path / "p.csv"
+    au.write_text(body.format("AU01,AU02"))
+    pair = tmp_path / "pair_0000.csv"
+    pair.write_text(body.format("x,y"))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"kind": "pairs", "pairs": [{"file": pair.name, "label": 0.5}]}))
+    if expected is None:
+        rec = load_au_csv(au)
+        (sample,) = load_dataset(tmp_path)
+        assert list(rec.au_channels) == ["AU01", "AU02"]
+        assert np.array_equal(rec.au_channels["AU01"].values, [0.5, 0.5, 0.5])
+        assert np.array_equal(sample.participants[1][0].values, [0.25, 0.25, 0.25])
+        return
+    for path, load in ((au, load_au_csv), (pair, lambda _: load_dataset(tmp_path))):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: {expected}")
 
 
 # mean average deviation
