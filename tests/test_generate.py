@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -251,3 +252,48 @@ def test_latent_driver_group_statistics():
         for b in range(a + 1, 3):
             cov = np.mean(members[a].values * members[b].values)
             assert abs(cov - 0.6) < 4.0 / np.sqrt(10**5)
+
+
+# pinned bytes: SHA-256 of the generator's output, recorded before the
+# spec's spectral mixing was cached; any change to the arithmetic shows here
+
+
+def pairs_digest(pairs) -> str:
+    h = hashlib.sha256()
+    for p in pairs:
+        h.update(np.float64(p.coupling).tobytes())
+        h.update(p.x.values.tobytes())
+        h.update(p.y.values.tobytes())
+    return h.hexdigest()
+
+
+PRESET_DIGESTS = {
+    ("stationary", 100): "a1b7c3edf0b11f0d47fb5750d053912c062e93445bf40520fd3f4701b90ac293",
+    ("stationary", 97): "466278d74eafa782552ea5307420a6bd0d2e961f98ade48360006185d58c1e25",
+    ("shifted", 100): "57f5926c31dee04d755e2125a91a3a69cf127a2da2405edf4cdc2872c1061d39",
+    ("shifted", 97): "7bebb16c964290a22fbd704b03722f70052b36cbdd105d16185ff624eebe536d",
+    ("trended", 100): "52f81a6652f37817cb510353289c61ee5bc5e5bfc76a0444da69d533b29266c0",
+    ("trended", 97): "0131c13746323a063301cebeb87513ad6eebb0be82af4c501cac6d9b1645ef11",
+}
+
+
+@pytest.mark.parametrize("kind, length", sorted(PRESET_DIGESTS))
+def test_preset_pairs_keep_their_bytes(kind, length):
+    pairs = [preset_pairs(kind, np.random.SeedSequence([7, i]), length)
+             for i in range(3)]
+    assert pairs_digest(pairs) == PRESET_DIGESTS[kind, length]
+
+
+def test_reused_scalar_spec_keeps_its_bytes():
+    seeds = [np.random.SeedSequence([9, i]) for i in range(24)]
+    spec = ScalarCovSpec(1.0, 1.0, 0.35, 97)
+    reused = pairs_digest([scalar_pair_gen(spec, s) for s in seeds])
+    fresh = pairs_digest([scalar_pair_gen(ScalarCovSpec(1.0, 1.0, 0.35, 97), s)
+                          for s in seeds])
+    assert reused == fresh == (
+        "b06546c4d78e10904a86a6dc15dfce0c66476eabe0d65f5bfe9591cd9c5b7b43")
+
+
+def test_gen_dataset_keeps_its_bytes():
+    assert pairs_digest(gen_dataset(6, 64, seed=3)) == (
+        "3a3daa856c4af457fbaf52f4276d2267e1a63ed608866d16b7e2056e515d0501")
