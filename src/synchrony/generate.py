@@ -15,6 +15,19 @@ realizes the prescribed covariance sequences circularly.
 The output is the REAL PART of the inverse DFT, which preserves
 Gaussianity and the prescribed second-order statistics.
 
+Everything that depends only on the spec is computed once per spec object:
+``CouplingSpec.mixing`` validates the spectra and keeps the mixing
+coefficients (sqrt(S_xx), cos alpha, sin alpha, sqrt(S_yy)) as read-only
+arrays on the spec, and ``ScalarCovSpec.coupling_spec`` keeps the
+equivalent CouplingSpec, so drawing many pairs from one spec factors its
+spectrum once (as in circulant embedding, Dietrich & Newsam 1997). The
+spec's covariance arrays are read-only copies, so the cache cannot go
+stale. Per pair, the two drivers are drawn as one (2, len) array and go
+through one forward and one inverse FFT along the last axis. The bytes are
+those of the per-call, per-driver form: the generator fills the (2, len)
+draw in the order of two consecutive len-draws, each FFT row is computed
+as a separate transform, and every product keeps its operand order.
+
 Synthetic couplings, of pairs and of latent-driver groups, are drawn from
 the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
 """
@@ -22,11 +35,12 @@ the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _as_readonly_f64
 
 TrendFn = Callable[[int, float], float]
 
@@ -63,7 +77,7 @@ class CouplingSpec:
         if self.length < 2:
             raise ValueError("length must be >= 2")
         for name in ("cxx", "cyy", "cxy"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _as_readonly_f64(getattr(self, name))
             if arr.shape != (self.length,):
                 raise ValueError(f"{name} must have length {self.length}")
             if not np.all(np.isfinite(arr)):
@@ -72,13 +86,18 @@ class CouplingSpec:
         if not (0 <= self.delay < self.length):
             raise ValueError("delay must satisfy 0 <= delay < length")
 
-    def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated spectral densities (S_xx, S_yy, S_xy).
+    @cached_property
+    def mixing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only per-bin mixing (sqrt(S_xx), cos alpha, sin alpha,
+        sqrt(S_yy)) of the validated spectral densities; computed on first
+        use and kept on the spec.
 
         Small negative auto-spectrum values (floating noise on valid
         covariance sequences) are clamped to zero; anything beyond the
         tolerance rejects the spec, as does a cross-spectrum exceeding
-        the coherence bound |S_xy| <= sqrt(S_xx * S_yy).
+        the coherence bound |S_xy| <= sqrt(S_xx * S_yy). A rejected spec
+        caches nothing, so every use raises again. The phase alpha is
+        arccos(S_xy / sqrt(S_xx * S_yy)), and 0 where that bound is 0.
         """
         sxx = np.fft.fft(self.cxx).real
         syy = np.fft.fft(self.cyy).real
@@ -90,7 +109,12 @@ class CouplingSpec:
         bound = np.sqrt(sxx * syy)
         if np.any(np.abs(sxy) > bound + COHERENCE_TOL):
             raise ValueError("invalid cross-spectrum: coherence bound violated")
-        return sxx, syy, sxy
+        ratio = np.divide(sxy, bound, out=np.zeros(self.length), where=bound > 0)
+        alpha = np.arccos(np.clip(ratio, -1.0, 1.0))
+        mix = (np.sqrt(sxx), np.cos(alpha), np.sin(alpha), np.sqrt(syy))
+        for arr in mix:
+            arr.setflags(write=False)
+        return mix
 
 
 @dataclass(frozen=True)
@@ -110,8 +134,10 @@ class ScalarCovSpec:
         if self.length < 2:
             raise ValueError("length must be >= 2")
 
-    def as_coupling_spec(self) -> CouplingSpec:
-        """Equivalent CouplingSpec: lag-0-only covariances give flat spectra."""
+    @cached_property
+    def coupling_spec(self) -> CouplingSpec:
+        """Equivalent CouplingSpec, kept on the spec: lag-0-only covariances
+        give flat spectra."""
         imp = np.zeros(self.length)
         cxx, cyy, cxy = imp.copy(), imp.copy(), imp.copy()
         cxx[0], cyy[0], cxy[0] = self.phi11, self.phi22, self.phi12
@@ -143,23 +169,16 @@ def spectral_pair_gen(
     coupling: float | None = None,
 ) -> GeneratedPair:
     """Generate one pair from a CouplingSpec. Deterministic given seed."""
-    sxx, syy, sxy = spec.spectra()
+    sqrt_sxx, cos_alpha, sin_alpha, sqrt_syy = spec.mixing
     n = spec.length
 
-    denom = np.sqrt(sxx * syy)
-    ratio = np.divide(sxy, denom, out=np.zeros(n), where=denom > 0)
-    alpha = np.arccos(np.clip(ratio, -1.0, 1.0))
-
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    v = rng.standard_normal(n)
-    fu = np.fft.fft(u)
-    fv = np.fft.fft(v)
+    fu, fv = np.fft.fft(rng.standard_normal((2, n)))
 
-    fx = np.sqrt(sxx) * (np.cos(alpha) * fu + np.sin(alpha) * fv)
-    fy = np.sqrt(syy) * fu
-    xr = np.fft.ifft(fx).real
-    yr = np.fft.ifft(fy).real
+    mixed = np.empty((2, n), dtype=np.complex128)
+    mixed[0] = sqrt_sxx * (cos_alpha * fu + sin_alpha * fv)
+    mixed[1] = sqrt_syy * fu
+    xr, yr = np.fft.ifft(mixed).real
 
     d = spec.delay
     xr = xr[d:]
@@ -179,9 +198,7 @@ def scalar_pair_gen(
     routes agree in distribution.
     """
     if method == "spectral":
-        return spectral_pair_gen(
-            spec.as_coupling_spec(), seed, coupling=spec.phi12
-        )
+        return spectral_pair_gen(spec.coupling_spec, seed, coupling=spec.phi12)
     if method == "cholesky":
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(spec.length)

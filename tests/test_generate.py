@@ -19,7 +19,7 @@ from synchrony.generate import (
 
 
 def flat_spec(phi11=1.0, phi22=1.0, phi12=0.0, length=128, delay=0):
-    return replace(ScalarCovSpec(phi11, phi22, phi12, length).as_coupling_spec(),
+    return replace(ScalarCovSpec(phi11, phi22, phi12, length).coupling_spec,
                    delay=delay)
 
 
@@ -51,7 +51,69 @@ def test_coherence_bound_violation_rejected():
         spectral_pair_gen(spec, 0)
 
 
+def test_spec_arrays_are_read_only_copies():
+    src = squared_exp_cov(64)
+    cov = src.copy()
+    spec = CouplingSpec(64, src, src, 0.5 * src)
+    for arr in (spec.cxx, spec.cyy, spec.cxy, *spec.mixing):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    src *= 2.0  # before the first draw, then after it
+    want = CouplingSpec(64, cov, cov, 0.5 * cov)
+    for seed in (3, 4):
+        got, ref = spectral_pair_gen(spec, seed), spectral_pair_gen(want, seed)
+        np.testing.assert_array_equal(got.x.values, ref.x.values)
+        np.testing.assert_array_equal(got.y.values, ref.y.values)
+        src[:] = 0.0
+
+
+def test_invalid_spec_raises_on_every_draw():
+    n = 64
+    cxx = np.zeros(n)
+    cxx[0] = 1.0
+    bad_cross = CouplingSpec(n, cxx, cxx, 1.2 * cxx)
+    bad_auto = CouplingSpec(n, -cxx, cxx, 0.0 * cxx)
+    for spec, match in ((bad_cross, "invalid cross-spectrum"),
+                        (bad_auto, "negative spectral density")):
+        for seed in range(3):
+            with pytest.raises(ValueError, match=match):
+                spectral_pair_gen(spec, seed)
+
+
 # spectral generator
+
+
+def reference_pair(spec, seed):
+    """The per-call form of spectral_pair_gen: the spectra, their checks and
+    the phase recomputed on every draw, and one FFT and one inverse FFT per
+    driver; without trends."""
+    sxx = np.clip(np.fft.fft(spec.cxx).real, 0.0, None)
+    syy = np.clip(np.fft.fft(spec.cyy).real, 0.0, None)
+    sxy = np.fft.fft(spec.cxy).real
+    denom = np.sqrt(sxx * syy)
+    ratio = np.divide(sxy, denom, out=np.zeros(spec.length), where=denom > 0)
+    alpha = np.arccos(np.clip(ratio, -1.0, 1.0))
+    rng = np.random.default_rng(seed)
+    fu = np.fft.fft(rng.standard_normal(spec.length))
+    fv = np.fft.fft(rng.standard_normal(spec.length))
+    xr = np.fft.ifft(np.sqrt(sxx) * (np.cos(alpha) * fu + np.sin(alpha) * fv)).real
+    yr = np.fft.ifft(np.sqrt(syy) * fu).real
+    return xr[spec.delay:], yr[: spec.length - spec.delay]
+
+
+@pytest.mark.parametrize("length", [2, 3, 7, 97, 100, 1009, 4096])
+def test_cached_stacked_draw_matches_per_call_form(length):
+    base = squared_exp_cov(length)
+    for spec in (preset_spec("shifted", length),
+                 CouplingSpec(length, base, base, -0.4 * base),
+                 flat_spec(phi12=0.7, length=length)):
+        for seed in range(3):
+            got = spectral_pair_gen(spec, seed)
+            x, y = reference_pair(spec, seed)
+            np.testing.assert_array_equal(got.x.values, x)
+            np.testing.assert_array_equal(got.y.values, y)
+
+
 
 
 def test_zero_cross_cov_ensemble():
