@@ -2,9 +2,10 @@
 multi-annotator label aggregation.
 
 File formats:
-  - Frame CSV, read by ``read_frame_csv``: header ``frame,NAME,...``, whole
-    frame numbers counting up by 1, finite values. An AU CSV (one
-    participant, ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
+  - Frame CSV, read by ``read_frame_csv``: UTF-8 text, header
+    ``frame,NAME,...`` with distinct names, whole frame numbers counting up
+    by 1, finite values. An AU CSV (one participant,
+    ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
     an ordered list of participant CSV paths (order defines channel-set
     position).
@@ -61,26 +62,34 @@ class AnnotationSet:
 def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
     """The value-column names and (T, C) float64 values of a frame CSV.
 
-    The header is ``frame,NAME,...``; each row below it holds a frame
-    number and one finite value per name, and frame numbers are whole and
-    count up by 1. ``#`` comments and blank lines are skipped. A file that
+    The file is UTF-8 text. The header is ``frame,NAME,...`` and names no
+    column twice; each row below it holds a frame number and one finite
+    value per name, and frame numbers are whole and count up by 1. ``#`` comments and blank lines are skipped. A file that
     breaks the rule raises IngestError naming the path and, when a line is
     at fault, the file line, counting the header as line 1.
     """
-    with open(path) as fh:
-        line = fh.readline()
-        if not line:
-            raise IngestError(f"{path}: empty file")
-        header = [h.strip() for h in line.split(",")]
-        if header[0] != "frame" or len(header) < 2:
-            raise IngestError(f"{path}: line 1: missing columns (expected "
-                              f"'frame,NAME,...'), found {line.strip()!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise IngestError(f"{path}: {_bad_line(path, len(header)) or exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
+                raise IngestError(f"{path}: empty file")
+            header = [h.strip() for h in line.split(",")]
+            if header[0] != "frame" or len(header) < 2:
+                raise IngestError(f"{path}: line 1: missing columns (expected "
+                                  f"'frame,NAME,...'), found {line.strip()!r}")
+            twice = [h for i, h in enumerate(header) if h in header[:i]]
+            if twice:
+                raise IngestError(f"{path}: line 1: column {twice[0]!r} named twice")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise IngestError(f"{path}: {_bad_line(path, len(header)) or exc}") from None
+    except UnicodeDecodeError:
+        # text is decoded a block at a time, so any read above, the re-read
+        # that places another error included, can be the one that meets it
+        raise IngestError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
     if len(rows) == 0:
         raise IngestError(f"{path}: no data rows")
     if rows.shape[1] != len(header):
@@ -103,9 +112,21 @@ def _data_lines(path) -> list[tuple[int, str]]:
     """(file line, text) of each row ``np.loadtxt`` reads below the header
     of a frame CSV: each line with its ``#`` comment cut, unless nothing is
     left (a line of spaces is a row). Read only to place an error."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [(n, line.rstrip("\n").split("#", 1)[0]) for n, line in enumerate(fh, start=1)]
     return [(n, text) for n, text in lines[1:] if text]
+
+
+def _undecodable_line(path) -> int:
+    """The file line of a frame CSV's first byte that is not UTF-8, with
+    lines ended as text mode ends them. Read only to place an error."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for n, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return n
 
 
 def _bad_line(path, n_columns: int) -> str | None:

@@ -328,6 +328,10 @@ FAULTS = {
     "header-only-csv": _kfold_after(_csv_rows("")),
     "non-numeric-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,abc,0.25\n")),
     "nan-cell": _kfold_after(_csv_rows("0,0.5,0.25\n1,nan,0.25\n")),
+    "byte-not-utf8": _kfold_after(lambda data, mp: (data / "pair_0000.csv").write_bytes(
+        b"frame,x,y\n0,0.5,0.25\n1,\xff,0.25\n")),
+    "column-named-twice": _kfold_after(lambda data, mp: (data / "pair_0000.csv").write_text(
+        "frame,x,x\n" + _frames(range(60)))),
     "swapped-frames": _kfold_after(_csv_rows(_frames([0, 1, 2, 4, 3, *range(5, 60)]))),
     "frame-gap": _kfold_after(_csv_rows(_frames([*range(10), *range(11, 61)]))),
     "fractional-frame": _kfold_after(_csv_rows(_frames([f + 0.5 for f in range(60)]))),
@@ -360,6 +364,8 @@ FAULTS = {
         "g1_p1.csv", lambda lines: lines + [f"{i},1,2,3,4" for i in range(60, 65)])),
     "ingest-too-few-shared-aus": _ingest_after(_rewrite_au_csv(
         "g1_p2.csv", lambda lines: [line.rsplit(",", 2)[0] for line in lines])),
+    "ingest-au-named-twice": _ingest_after(_rewrite_au_csv(
+        "g1_p1.csv", lambda lines: ["frame,AU01,AU01,AU04,AU06", *lines[1:]])),
 }
 
 
@@ -372,6 +378,8 @@ NAMED = {
     "fractional-frame": "pair_0000.csv: line 2: ",
     "frame-gap-after-comment": "pair_0000.csv: line 9: ",
     "nan-cell": "pair_0000.csv: line 3: ",
+    "byte-not-utf8": "pair_0000.csv: line 3: not UTF-8 text",
+    "column-named-twice": "pair_0000.csv: line 1: column 'x' named twice",
     "nan-label": "manifest.json: pair entry 1: ",
     "label-too-large": "manifest.json: pair entry 1: ",
     "negative-clip-norm": "clip_norm",
@@ -379,6 +387,7 @@ NAMED = {
     "config-nan-learning-rate": "learning_rate",
     "ingest-member-longer": "group 'g1': ",
     "ingest-too-few-shared-aus": "group 'g1': ",
+    "ingest-au-named-twice": "g1_p1.csv: line 1: column 'AU01' named twice",
 }
 
 

@@ -100,6 +100,7 @@ FRAME_CSV_FAULTS = {
     "header-only": ("frame,{}\n", "no data rows"),
     "empty-file": ("", "empty file"),
     "first-header-cell": ("time,{}\n" + _rows(range(3)), "line 1: missing columns"),
+    "byte-not-utf8": ("frame,{}\n0,0.5,0.25\n1,0.5\xff,0.25\n", "line 3: not UTF-8 text"),
 }
 
 
@@ -108,10 +109,11 @@ def test_frame_csv_rule_is_shared(tmp_path, case):
     """An AU CSV and a pair CSV with the same body load, or fail at the
     same line with the same message."""
     body, expected = FRAME_CSV_FAULTS[case]
+    # written as Latin-1, so "\xff" is the one byte 0xff, which is not UTF-8
     au = tmp_path / "p.csv"
-    au.write_text(body.format("AU01,AU02"))
+    au.write_bytes(body.format("AU01,AU02").encode("latin-1"))
     pair = tmp_path / "pair_0000.csv"
-    pair.write_text(body.format("x,y"))
+    pair.write_bytes(body.format("x,y").encode("latin-1"))
     (tmp_path / "manifest.json").write_text(json.dumps(
         {"kind": "pairs", "pairs": [{"file": pair.name, "label": 0.5}]}))
     if expected is None:
@@ -125,6 +127,16 @@ def test_frame_csv_rule_is_shared(tmp_path, case):
         with pytest.raises(ValueError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}: {expected}")
+
+
+@pytest.mark.parametrize("header, name", [("frame,AU01,AU01", "AU01"),
+                                          ("frame,frame,AU01", "frame")])
+def test_frame_csv_rejects_a_column_named_twice(tmp_path, header, name):
+    path = tmp_path / "p.csv"
+    path.write_text(header + "\n0,1,2\n1,3,4\n")
+    with pytest.raises(IngestError) as info:
+        load_au_csv(path)
+    assert str(info.value) == f"{path}: line 1: column {name!r} named twice"
 
 
 # mean average deviation
