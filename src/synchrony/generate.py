@@ -60,9 +60,9 @@ class CouplingSpec:
     """Prescription for one coupled pair.
 
     ``cxx``, ``cyy``, ``cxy`` are covariance sequences of length ``length``
-    (circular convention). ``f1``/``f2`` are pointwise trend maps
-    ``(t, value) -> value`` applied last (None means identity). ``delay``
-    shifts y behind x by trimming.
+    (circular convention), kept as read-only float64 copies. ``f1``/``f2``
+    are pointwise trend maps ``(t, value) -> value`` applied last (None
+    means identity). ``delay`` shifts y behind x by trimming.
     """
 
     length: int

@@ -114,8 +114,6 @@ def test_cached_stacked_draw_matches_per_call_form(length):
             np.testing.assert_array_equal(got.y.values, y)
 
 
-
-
 def test_zero_cross_cov_ensemble():
     spec = preset_spec("stationary", length=64)
     zero = CouplingSpec(64, spec.cxx, spec.cyy, np.zeros(64))
@@ -316,8 +314,8 @@ def test_latent_driver_group_statistics():
             assert abs(cov - 0.6) < 4.0 / np.sqrt(10**5)
 
 
-# pinned bytes: SHA-256 of the generator's output, recorded before the
-# spec's spectral mixing was cached; any change to the arithmetic shows here
+# pinned bytes: SHA-256 of the generator's output, as the per-call,
+# per-driver form gave it; any change to the arithmetic shows here
 
 
 def pairs_digest(pairs) -> str:
