@@ -7,7 +7,6 @@ from .core import (
     InteractionSample,
     TimeSeries,
     WindowedDataset,
-    zscore_normalize,
 )
 from .generate import (
     CouplingSpec,
@@ -50,7 +49,6 @@ from .experiments import (
 
 __all__ = [
     "TimeSeries", "InteractionSample", "WindowedDataset",
-    "zscore_normalize",
     "CouplingSpec", "ScalarCovSpec", "GeneratedPair",
     "spectral_pair_gen", "scalar_pair_gen", "gen_dataset",
     "empirical_cross_cov", "preset_pairs",

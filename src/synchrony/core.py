@@ -3,8 +3,10 @@
 Everything downstream (generation, training, evaluation) works in terms of
 these types: a single uniformly sampled signal, a labeled group of signals,
 and a ``WindowedDataset`` that lists fixed-length windows as start frames
-into the stacked per-frame matrices of such groups. The windows themselves
-are cut in ``experiments`` and copied out in ``nn.windows_to_batch``.
+into the stacked per-frame matrices of such groups. Windows are cut (and
+optionally z-scored) in ``experiments.build_windowed_dataset``; only
+``nn.windows_to_batch`` copies window data, and only the frames a step
+reads.
 """
 
 from __future__ import annotations
@@ -134,25 +136,3 @@ def window_view(frames: np.ndarray, window_length: int) -> np.ndarray:
     """Read-only (T - W + 1, W, D) view of a (T, D) matrix whose entry s is
     ``frames[s : s + W]``; nothing is copied."""
     return sliding_window_view(frames, window_length, axis=0).transpose(0, 2, 1)
-
-
-def zscore_normalize(series: TimeSeries) -> TimeSeries:
-    """Shift/scale a series to mean 0, population std 1.
-
-    A constant series maps to all zeros rather than raising.
-    """
-    mu = float(np.mean(series.values))
-    sd = float(np.std(series.values))
-    if sd == 0.0:
-        vals = np.zeros_like(series.values)
-    else:
-        vals = (series.values - mu) / sd
-    return TimeSeries(vals)
-
-
-def normalize_sample(sample: InteractionSample) -> InteractionSample:
-    """Apply per-channel z-score normalization over the full signal."""
-    parts = tuple(
-        tuple(zscore_normalize(ts) for ts in cs) for cs in sample.participants
-    )
-    return InteractionSample(parts, label=sample.label, group_id=sample.group_id)

@@ -3,10 +3,13 @@ cross-validation, the chimeric-group control baseline, and the LSTM-count
 sweep.
 
 Samples are cut into windows here and nowhere else, by
-``build_windowed_dataset`` and ``windows_to_batch``, for training and
-prediction alike. Splits are made on samples by group id before any window
-is cut, so all of a group lands on one side of every split. The synthetic
-experiments draw every coupling from ``generate.COUPLING_RANGE``.
+``build_windowed_dataset`` (which z-scores each channel when asked), for
+training and prediction alike. ``windows_to_batch`` then copies only the
+last ``lookback`` frames of each window: per training minibatch, once for
+the validation side, and per predicted sample. Splits are made on samples
+by group id before any window is cut, so all of a group lands on one side
+of every split. The synthetic experiments draw every coupling from
+``generate.COUPLING_RANGE``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .core import (
     TimeSeries,
     WindowedDataset,
     check_window,
-    normalize_sample,
     window_count,
 )
 from .generate import COUPLING_RANGE, GeneratedPair, gen_dataset, latent_driver_group
@@ -96,13 +98,14 @@ def build_windowed_dataset(
     """Window every sample; each window keeps its sample's label.
 
     Windows are listed sample by sample, each sample's from frame 0 on.
+    With ``normalize`` each channel of each sample is z-scored over the
+    whole sample first (population std; a constant channel becomes zeros).
     """
     _check_samples(samples, window_length, stride)
-    if normalize:
-        samples = [normalize_sample(s) for s in samples]
     counts = [window_count(s.n_frames, window_length, stride) for s in samples]
     offsets = np.cumsum([0] + [s.n_frames for s in samples[:-1]])
-    frames = np.concatenate([s.frames() for s in samples])
+    frames = np.concatenate(
+        [_zscore_columns(s.frames()) if normalize else s.frames() for s in samples])
     frames.setflags(write=False)
     return WindowedDataset(
         frames=frames,
@@ -114,6 +117,19 @@ def build_windowed_dataset(
     )
 
 
+def _zscore_columns(frames: np.ndarray) -> np.ndarray:
+    """Each column of a (T, D) matrix z-scored, a constant one to zeros
+    (its computed std need not be 0: the mean of 100 copies of 0.1 is not
+    0.1). Rows of the contiguous transpose are reduced, so each sum is the
+    1-D pairwise sum of its column alone."""
+    cols = np.ascontiguousarray(frames.T)
+    mu = cols.mean(axis=1, keepdims=True)
+    sd = cols.std(axis=1, keepdims=True)
+    varies = (np.ptp(cols, axis=1, keepdims=True) > 0) & (sd > 0)
+    out = np.divide(cols - mu, sd, out=np.zeros_like(cols), where=varies)
+    return np.ascontiguousarray(out.T)
+
+
 def _check_samples(samples, window_length: int, stride: int) -> None:
     """Raise unless the samples share one shape and each fits a window."""
     if not samples:
@@ -123,12 +139,6 @@ def _check_samples(samples, window_length: int, stride: int) -> None:
         raise ValueError("all samples must share participant/channel counts")
     for s in samples:
         check_window(s.n_frames, window_length, stride)
-
-
-def _batch(samples, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The windows of ``samples`` under ``config``, as ``windows_to_batch``."""
-    return windows_to_batch(build_windowed_dataset(
-        samples, config.window_length, config.stride, normalize=config.normalize))
 
 
 def _eval_mse(model, x, y, lookback, workspace) -> float:
@@ -144,7 +154,9 @@ def train_experiment(
     """Train on a group-disjoint train/validation split of the samples.
 
     A seeded shuffle of the group ids puts ``train_fraction`` of them on
-    the training side; each side is windowed by ``config``. Records
+    the training side; each side is windowed by ``config``. Each
+    minibatch is gathered at lookback width from the training windows,
+    the validation windows once at that width. Records
     per-epoch train/validation MSE and returns the parameters from the
     epoch with the best validation loss. Deterministic given config.
     Every training step and validation pass runs in ``workspace`` (a fresh
@@ -159,10 +171,13 @@ def train_experiment(
     n_train = min(max(int(round(config.train_fraction * len(groups))), 1),
                   len(groups) - 1)
     train_ids = {groups[i] for i in rng.permutation(len(groups))[:n_train]}
-    x_train, y_train = _batch([s for s in samples if s.group_id in train_ids], config)
-    x_val, y_val = _batch([s for s in samples if s.group_id not in train_ids], config)
+    train, val = (
+        build_windowed_dataset([s for s in samples if (s.group_id in train_ids) is side],
+                               config.window_length, config.stride, normalize=config.normalize)
+        for side in (True, False))
+    x_val, y_val = windows_to_batch(val, tc.lookback)
 
-    input_size = x_train.shape[2]
+    input_size = train.frames.shape[1]
     model = init_model(
         input_size,
         n_lstms=tc.n_lstms,
@@ -175,15 +190,14 @@ def train_experiment(
     best_val = np.inf
     best_epoch = 0
     epochs = []
-    n = len(x_train)
+    n = len(train)
     for epoch in range(tc.epochs):
         perm = rng.permutation(n)
         running = 0.0
         for start in range(0, n, tc.batch_size):
             idx = perm[start : start + tc.batch_size]
-            loss, grads = loss_and_grads(
-                model, x_train[idx], y_train[idx], lookback=tc.lookback, workspace=ws
-            )
+            x, y = windows_to_batch(train, tc.lookback, idx)
+            loss, grads = loss_and_grads(model, x, y, lookback=tc.lookback, workspace=ws)
             running += loss * len(idx)
             model = opt.step(model, grads)
         train_mse = running / n
@@ -194,6 +208,7 @@ def train_experiment(
             best_model = model
             best_epoch = epoch
     if not epochs:  # zero epochs: score the untrained model
+        x_train, y_train = windows_to_batch(train, tc.lookback)
         epochs = [{"epoch": 0, "train_mse": _eval_mse(model, x_train, y_train, tc.lookback, ws),
                    "val_mse": _eval_mse(model, x_val, y_val, tc.lookback, ws)}]
     return best_model, TrainHistory(tuple(epochs), best_epoch)
@@ -212,7 +227,7 @@ def predict_sample(
     """Window-level predictions, each from the last ``lookback`` frames of
     its window, aggregated to one score for the sample."""
     x, _ = windows_to_batch(
-        build_windowed_dataset([sample], window_length, stride, normalize=normalize))
+        build_windowed_dataset([sample], window_length, stride, normalize=normalize), lookback)
     preds = forward_batch(model, x, lookback=lookback)
     if aggregation == "mean":
         return float(np.mean(preds))

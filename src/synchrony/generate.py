@@ -188,26 +188,10 @@ def spectral_pair_gen(
     return GeneratedPair(TimeSeries(xr), TimeSeries(yr), coupling=coupling)
 
 
-def scalar_pair_gen(
-    spec: ScalarCovSpec, seed, method: str = "spectral"
-) -> GeneratedPair:
-    """Generate a white-in-time pair with the given 2x2 covariance.
-
-    ``method="spectral"`` routes through spectral_pair_gen with flat
-    spectra; ``method="cholesky"`` mixes the drivers directly. The two
-    routes agree in distribution.
-    """
-    if method == "spectral":
-        return spectral_pair_gen(spec.coupling_spec, seed, coupling=spec.phi12)
-    if method == "cholesky":
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(spec.length)
-        v = rng.standard_normal(spec.length)
-        x = np.sqrt(spec.phi11) * u
-        resid = spec.phi22 - spec.phi12**2 / spec.phi11
-        y = (spec.phi12 / np.sqrt(spec.phi11)) * u + np.sqrt(max(resid, 0.0)) * v
-        return GeneratedPair(TimeSeries(x), TimeSeries(y), coupling=spec.phi12)
-    raise ValueError(f"unknown method: {method!r}")
+def scalar_pair_gen(spec: ScalarCovSpec, seed) -> GeneratedPair:
+    """Generate a white-in-time pair with the given 2x2 covariance, through
+    spectral_pair_gen with flat spectra."""
+    return spectral_pair_gen(spec.coupling_spec, seed, coupling=spec.phi12)
 
 
 def pair_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:

@@ -3,8 +3,8 @@ multi-annotator label aggregation.
 
 File formats:
   - Frame CSV, read by ``read_frame_csv``: UTF-8 text, header
-    ``frame,NAME,...`` with distinct names, whole frame numbers counting up
-    by 1, finite values. An AU CSV (one participant,
+    ``frame,NAME,...`` with distinct non-empty names, whole frame numbers
+    counting up by 1, finite values. An AU CSV (one participant,
     ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
     an ordered list of participant CSV paths (order defines channel-set
@@ -62,11 +62,12 @@ class AnnotationSet:
 def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
     """The value-column names and (T, C) float64 values of a frame CSV.
 
-    The file is UTF-8 text. The header is ``frame,NAME,...`` and names no
-    column twice; each row below it holds a frame number and one finite
-    value per name, and frame numbers are whole and count up by 1. ``#`` comments and blank lines are skipped. A file that
-    breaks the rule raises IngestError naming the path and, when a line is
-    at fault, the file line, counting the header as line 1.
+    The file is UTF-8 text. The header is ``frame,NAME,...`` and names
+    every column, none twice; each row below it holds a frame number and
+    one finite value per name, and frame numbers are whole and count up
+    by 1. ``#`` comments and blank lines are skipped. A file that breaks
+    the rule raises IngestError naming the path and, when a line is at
+    fault, the file line, counting the header as line 1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -77,6 +78,8 @@ def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
             if header[0] != "frame" or len(header) < 2:
                 raise IngestError(f"{path}: line 1: missing columns (expected "
                                   f"'frame,NAME,...'), found {line.strip()!r}")
+            if "" in header:
+                raise IngestError(f"{path}: line 1: column {header.index('') + 1} has no name")
             twice = [h for i, h in enumerate(header) if h in header[:i]]
             if twice:
                 raise IngestError(f"{path}: line 1: column {twice[0]!r} named twice")

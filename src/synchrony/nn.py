@@ -13,13 +13,21 @@ Gates use sigmoid and the candidate/cell nonlinearity is tanh by default;
 ``cell_activation="relu"`` replaces tanh with ReLU inside the cell for
 strict all-ReLU experiments.
 
+Batches. ``windows_to_batch`` is the one place window data is copied: it
+gathers the last ``lookback`` frames of chosen windows of a
+``WindowedDataset`` (cut by ``experiments.build_windowed_dataset``) into
+a C-contiguous (B, lookback, D) array. Training gathers each minibatch
+so, and prediction each sample's windows; ``forward_batch`` also takes
+longer windows and reads their last ``lookback`` frames.
+
 Training step. ``forward_batch`` and ``loss_and_grads`` write every
 intermediate with ``out=`` into a ``Workspace``, a set of named float64
 buffers that grow on demand, so a step on a reused workspace allocates
 nothing larger than a gradient. With T lookback frames, n LSTMs of H units
 and a batch of B, the forward cache (``want_cache=True``) holds:
 
-- ``x``: (B, T, D), the frames the step consumed (a view of the input);
+- ``x``: (B, T, D), the frames the step consumed (a view of the input,
+  which ``windows_to_batch`` gathers at lookback width for training);
 - ``gates``: (4, T, n, B, H), post-activations i, f, g, o, one
   contiguous array per gate and step;
 - ``c``, ``h``: (T + 1, n, B, H), cell and hidden states; index 0 is the
@@ -232,13 +240,24 @@ def init_model(
     return SynchronyModel(wx, rh, b, head_w, 0.0, cell_activation)
 
 
-def windows_to_batch(dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The windows of a dataset as a (B, W, K*C) input array and (B,)
-    labels; the one place window data is copied."""
-    if len(dataset) == 0:
+def windows_to_batch(
+    dataset: WindowedDataset, lookback: int | None = None, idx=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The last ``lookback`` frames (all W when None) of the windows
+    ``idx`` (all when None) as a C-contiguous (B, lookback, K*C) input
+    array, and their (B,) labels; the one place window data is copied."""
+    w = dataset.window_length
+    lookback = w if lookback is None else lookback
+    if lookback <= 0:
+        raise ValueError(f"lookback must be positive, not {lookback}")
+    if w < lookback:
+        raise ValueError("window shorter than lookback")
+    pick = slice(None) if idx is None else idx
+    starts = dataset.starts[pick]
+    if starts.size == 0:
         raise ValueError("empty batch")
-    x = window_view(dataset.frames, dataset.window_length)[dataset.starts]
-    return x, dataset.labels
+    x = window_view(dataset.frames, lookback)[starts + (w - lookback)]
+    return x, dataset.labels[pick]
 
 
 class Workspace:

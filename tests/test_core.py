@@ -6,7 +6,6 @@ from synchrony.core import (
     InteractionSample,
     TimeSeries,
     window_count,
-    zscore_normalize,
 )
 from synchrony.experiments import build_windowed_dataset
 from synchrony.nn import windows_to_batch
@@ -89,17 +88,20 @@ def test_extract_windows_errors():
         windows(s, 10, 0)
 
 
+def zscored(values):
+    """A channel as ``build_windowed_dataset(..., normalize=True)`` leaves it."""
+    ts = TimeSeries(values)
+    s = InteractionSample(((ts,), (ts,)), label=0.5, group_id="g")
+    return build_windowed_dataset([s], len(ts), normalize=True).frames[:, 0]
+
+
 def test_zscore_examples():
-    np.testing.assert_allclose(
-        zscore_normalize(TimeSeries([1, 1, 1])).values, [0, 0, 0]
-    )
-    np.testing.assert_allclose(
-        zscore_normalize(TimeSeries([0, 2])).values, [-1, 1]
-    )
+    np.testing.assert_allclose(zscored([1, 1, 1]), [0, 0, 0])
+    # the mean of 100 copies of 0.1 is not 0.1 in floating point
+    assert np.array_equal(zscored([0.1] * 100), np.zeros(100))
+    np.testing.assert_allclose(zscored([0, 2]), [-1, 1])
     r = np.sqrt(3.0 / 2.0)
-    np.testing.assert_allclose(
-        zscore_normalize(TimeSeries([1, 2, 3])).values, [-r, 0, r], atol=1e-15
-    )
+    np.testing.assert_allclose(zscored([1, 2, 3]), [-r, 0, r], atol=1e-15)
 
 
 @given(
@@ -110,6 +112,6 @@ def test_zscore_examples():
     ).filter(lambda v: np.std(v) > 1e-6)
 )
 def test_zscore_idempotent(values):
-    once = zscore_normalize(TimeSeries(values))
-    twice = zscore_normalize(once)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
+    once = zscored(values)
+    twice = zscored(once)
+    np.testing.assert_allclose(twice, once, atol=1e-12)

@@ -101,6 +101,9 @@ FRAME_CSV_FAULTS = {
     "empty-file": ("", "empty file"),
     "first-header-cell": ("time,{}\n" + _rows(range(3)), "line 1: missing columns"),
     "byte-not-utf8": ("frame,{}\n0,0.5,0.25\n1,0.5\xff,0.25\n", "line 3: not UTF-8 text"),
+    # these two headers stand in for the named columns in both files
+    "trailing-comma-header": ("frame,AU01,\n" + _rows(range(3)), "line 1: column 3 has no name"),
+    "blank-column-name": ("frame, ,AU02\n" + _rows(range(3)), "line 1: column 2 has no name"),
 }
 
 
