@@ -86,6 +86,12 @@ class CouplingSpec:
         if not (0 <= self.delay < self.length):
             raise ValueError("delay must satisfy 0 <= delay < length")
 
+    def __reduce__(self):
+        # pickle keeps neither the write flags nor a cache tied to them, so
+        # a copy is rebuilt through __post_init__ and computes its own mixing
+        return (CouplingSpec, (self.length, self.cxx, self.cyy, self.cxy,
+                               self.f1, self.f2, self.delay))
+
     @cached_property
     def mixing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only per-bin mixing (sqrt(S_xx), cos alpha, sin alpha,

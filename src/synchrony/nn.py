@@ -51,10 +51,21 @@ The step is bit-identical to the allocating version it replaced, kept in
 ``tests/test_bit_identity.py`` as the oracle, because it keeps the
 operands and the order of every operation:
 
-- the input projection is x @ wx^T with its rows permuted to time-major;
+- the input projection x @ wx^T is formed per step, one (B, D) block of
+  frames per GEMM, never for all T steps at once; a row of a GEMM with at
+  least two rows has the bits of the same row in the oracle's (T * B)-row
+  GEMM. A one-row product goes through GEMV, whose bits differ, so at
+  B = 1 one GEMM projects two steps (the last two overlap when T is odd);
+  only T = B = 1 projects one row, as the oracle does;
+- the rows of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
+  multiplied by -1 once per call. That is exact, and rounding is
+  symmetric in sign, so those gates' pre-activations come out as exactly
+  -a and ``_sigmoid_of_negated`` forms 1 / (1 + exp(-a)) without a
+  negation pass (only a zero may differ in sign, and exp(-0) = exp(0));
 - the recurrent GEMM is h @ rh^T with shape (n, B, 4H); a gate-major
   rh @ h^T gives different bits;
-- the pre-activation is summed as (x wx^T + h rh^T) + b;
+- the pre-activation is summed as (x wx^T + h rh^T) + b, with b broadcast
+  to (n, B, 4H) once per call, so each step's bias add is contiguous;
 - sigmoid and tanh read the same strided slices of the pre-activation,
   and every elementwise product is formed in the same order;
 - the backward pass builds each gate's gradient in contiguous scratch and
@@ -63,21 +74,26 @@ operands and the order of every operation:
 
 Results also match between one and two OpenBLAS threads at batch sizes 1,
 15, 64 and 105, but not at 901, where the ``rh`` gradient (a reduction
-over the batch) differs in the last bits with the thread count.
+over the batch) differs in the last bits with the thread count. A training
+step at B = 64, 6 x 32 LSTMs and T = 30 holds 22 MiB of workspace, 19.9 MiB
+of it the gates and states BPTT reads; projecting all T steps up front
+took 11.25 MiB more.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
 ``np.array_split`` chunks of at most ``INFER_CHUNK`` = 64 windows, one
 after another in the same workspace, and then the head once over the
-whole batch. The workspace so holds one chunk's buffers whatever B is:
-12 MiB after a 901-window batch at 6 x 32 LSTMs, where one pass over the
-batch held 177 MiB. A step then touches about 1.9 MiB of arrays, within
-a 2 MiB per-core L2, where a one-pass step over 901 windows wrote a
-5.5 MB pre-activation array alone: the gain comes from the working set,
-not from fewer FLOPs (Appleyard et al., arXiv:1604.01946). Measured with
-one and two OpenBLAS threads, a window's final hidden states are
-bit-identical at every batch size >= 2 and every offset in the batch,
-but not at batch size 1; ``array_split`` makes a one-window chunk only
-of a one-window batch. The head's output for a window does change in the
+whole batch. The workspace so holds one step of one chunk whatever B is:
+2.0 MiB after a 901-window batch at 6 x 32 LSTMs, where projecting each
+chunk's 30 steps up front held 12 MiB and one pass over the batch 177 MiB.
+A step's arrays so fit a 2 MiB per-core L2, where the up-front
+projection was written once and read back step by step from beyond it,
+and a one-pass step over 901 windows wrote a 5.5 MB pre-activation array
+alone: the gain comes from the working set, not from fewer FLOPs
+(Appleyard et al., arXiv:1604.01946). Measured with one and two OpenBLAS
+threads, a window's final hidden states are bit-identical at every batch
+size >= 2 and every offset in the batch, but not at batch size 1, where
+the recurrent product is a GEMV; ``array_split`` makes a one-window chunk
+only of a one-window batch. The head's output for a window does change in the
 last bit with the batch size (the same six windows have equal hidden
 states at B = 6 and 63, but not equal ``z``), so the head is not
 chunked. The predictions therefore equal those of one pass over the
@@ -107,15 +123,15 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed, truncated, or inconsistent."""
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)), written into ``out`` when it is given.
+def _sigmoid_of_negated(neg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigmoid(a) = 1 / (1 + exp(neg)) from the negated pre-activation
+    neg = -a, written into ``out``.
 
-    exp overflows for very negative x and the result rounds to exactly 0,
-    the correctly rounded sigmoid value; callers run it under
+    exp overflows for large neg and the result rounds to exactly 0, the
+    correctly rounded sigmoid value; callers run it under
     ``np.errstate(over="ignore")``.
     """
-    out = np.negative(x, out=out)
-    np.exp(out, out=out)
+    np.exp(neg, out=out)
     np.add(1.0, out, out=out)
     return np.divide(1.0, out, out=out)
 
@@ -315,14 +331,22 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int):
     n, hh = model.n_lstms, model.hidden_size
     act = np.tanh if model.cell_activation == "tanh" else _relu
 
-    # input projection, time-major: row ti * B + b of each LSTM's block
-    xt = ws._get("x_time_major", (1, t * bsz, d))
-    np.copyto(xt.reshape(t, bsz, d), x.transpose(1, 0, 2))
-    xw = ws._get("xw", (n, t * bsz, 4 * hh))
-    np.matmul(xt, model.wx.transpose(0, 2, 1), out=xw)
-    xw = xw.reshape(n, t, bsz, 4 * hh)
-    rh_t = np.ascontiguousarray(model.rh.transpose(0, 2, 1))
-    bias = model.b[:, None, :]
+    # the i, f and o rows negated (exact), so their pre-activations come
+    # out as -a, which is what the sigmoid reads
+    sign = np.ones(4 * hh)
+    sign[: 2 * hh] = sign[3 * hh :] = -1.0
+    wx_t = (model.wx * sign[:, None]).transpose(0, 2, 1)
+    rh_t = np.ascontiguousarray((model.rh * sign[:, None]).transpose(0, 2, 1))
+    bias = ws._get("bias", (n, bsz, 4 * hh))
+    np.multiply(model.b[:, None, :], sign, out=bias)
+
+    # frames time-major; one input-projection GEMM covers `span` steps: two
+    # at B = 1, as a one-row GEMM takes another BLAS path and other bits
+    xt = ws._get("x_time_major", (t, bsz, d))
+    np.copyto(xt, x.transpose(1, 0, 2))
+    span = min(t, 2 if bsz == 1 else 1)
+    xw = ws._get("xw", (n, span * bsz, 4 * hh))
+    first = -span  # first step in xw
 
     # internal layout (n_lstms, batch, ...) so each step is a batched GEMM
     a = ws._get("a", (n, bsz, 4 * hh))
@@ -336,14 +360,19 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int):
     with np.errstate(over="ignore"):
         for ti in range(t):
             s, prev, cur = ti % keep, ti % (keep + 1), (ti + 1) % (keep + 1)
+            if ti >= first + span:  # the last span overlaps when t is odd
+                first = min(ti, t - span)
+                np.matmul(xt[first : first + span].reshape(span * bsz, d), wx_t,
+                          out=xw)
+            row = (ti - first) * bsz
             np.matmul(hs[prev], rh_t, out=a)
-            np.add(xw[:, ti], a, out=a)
+            np.add(xw[:, row : row + bsz], a, out=a)
             np.add(a, bias, out=a)
             i, f, g, o = gates[:, s]
-            _sigmoid(a[..., :hh], out=i)
-            _sigmoid(a[..., hh : 2 * hh], out=f)
+            _sigmoid_of_negated(a[..., :hh], out=i)
+            _sigmoid_of_negated(a[..., hh : 2 * hh], out=f)
             act(a[..., 2 * hh : 3 * hh], out=g)
-            _sigmoid(a[..., 3 * hh :], out=o)
+            _sigmoid_of_negated(a[..., 3 * hh :], out=o)
             np.multiply(f, cs[prev], out=cs[cur])
             np.multiply(i, g, out=ig)
             np.add(cs[cur], ig, out=cs[cur])

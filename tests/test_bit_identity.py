@@ -147,15 +147,15 @@ def batch(bsz, d=2, seed=0):
     return rng.standard_normal((bsz, WINDOW, d)), rng.uniform(0.1, 0.9, bsz)
 
 
-def assert_step_identical(model, x, y, workspace):
-    loss, grads = loss_and_grads(model, x, y, lookback=LOOKBACK, workspace=workspace)
-    ref_loss, ref_grads = reference_loss_and_grads(model, x, y, lookback=LOOKBACK)
+def assert_step_identical(model, x, y, workspace, lookback=LOOKBACK):
+    loss, grads = loss_and_grads(model, x, y, lookback=lookback, workspace=workspace)
+    ref_loss, ref_grads = reference_loss_and_grads(model, x, y, lookback=lookback)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
     for k in ref_grads:
         assert np.array_equal(grads[k], ref_grads[k]), k
-    pred = forward_batch(model, x, lookback=LOOKBACK, workspace=workspace)
-    assert np.array_equal(pred, reference_forward_batch(model, x, lookback=LOOKBACK))
+    pred = forward_batch(model, x, lookback=lookback, workspace=workspace)
+    assert np.array_equal(pred, reference_forward_batch(model, x, lookback=lookback))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -171,6 +171,29 @@ def test_step_bit_identical_with_one_reused_workspace(activation):
 def test_step_bit_identical_with_fresh_workspace(activation, bsz):
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
     assert_step_identical(model, *batch(bsz, d=3), None)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("bsz, lookback", [(2, LOOKBACK), (1, 1), (1, LOOKBACK),
+                                           (1, 29), (7, 29)])
+def test_step_bit_identical_at_small_batches_and_odd_lookbacks(activation, bsz, lookback):
+    """The input projection runs per step: B = 2 is its smallest GEMM. At
+    B = 1 two steps share one GEMM, the last two overlapping at an odd
+    lookback, and a lookback of 1 leaves one row, as in the oracle."""
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
+    assert_step_identical(model, *batch(bsz, d=3), None, lookback=lookback)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_step_bit_identical_where_the_sigmoid_is_exactly_zero(activation):
+    """Large inputs make exp overflow to inf inside the sigmoid, which
+    must then give exactly 0, as 1 / (1 + exp(-a)) does."""
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
+    x, y = batch(15, d=3)
+    x *= 500.0
+    _, cache = forward_batch(model, x, lookback=LOOKBACK, want_cache=True)
+    assert np.any(cache["gates"][[0, 1, 3]] == 0.0)
+    assert_step_identical(model, x, y, None)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])

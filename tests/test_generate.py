@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,24 @@ def test_spec_arrays_are_read_only_copies():
         np.testing.assert_array_equal(got.x.values, ref.x.values)
         np.testing.assert_array_equal(got.y.values, ref.y.values)
         src[:] = 0.0
+
+
+def test_pickled_spec_is_rebuilt_read_only():
+    """A spec comes back from pickle through its constructor: read-only
+    arrays, its own mixing cache and the same pairs, also when the cache
+    was filled before the round trip (as in a ScalarCovSpec's spec)."""
+    cov = squared_exp_cov(64)
+    spec = CouplingSpec(64, cov, cov, 0.5 * cov, delay=3)
+    scalar = ScalarCovSpec(1.0, 1.0, 0.35, 64)
+    want = [spectral_pair_gen(spec, 5), scalar_pair_gen(scalar, 5)]
+    spec_copy, scalar_copy = pickle.loads(pickle.dumps((spec, scalar)))
+    for s in (spec_copy, scalar_copy.coupling_spec):
+        for arr in (s.cxx, s.cyy, s.cxy, *s.mixing):
+            assert not arr.flags.writeable
+    got = [spectral_pair_gen(spec_copy, 5), scalar_pair_gen(scalar_copy, 5)]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.x.values, w.x.values)
+        np.testing.assert_array_equal(g.y.values, w.y.values)
 
 
 def test_invalid_spec_raises_on_every_draw():

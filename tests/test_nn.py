@@ -172,25 +172,39 @@ def test_workspace_buffers_are_aligned(monkeypatch):
     assert misaligned == []
 
 
+def held(ws):
+    return sum(buf.nbytes for buf in ws._buffers.values())
+
+
 def test_inference_workspace_does_not_grow_with_the_batch():
     """Without a cache the bank runs one chunk of at most INFER_CHUNK
-    windows at a time, so the workspace holds what one such chunk needs
-    (12.6 MiB at 6 x 32 LSTMs) at any batch size."""
+    windows at a time and projects one step's frames at a time, so the
+    workspace holds what one step of one such chunk needs (2.0 MiB at
+    6 x 32 LSTMs) at any batch size."""
     m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
     x, _ = random_batch(5000, w=30, seed=1)
-
-    def held(ws):
-        return sum(buf.nbytes for buf in ws._buffers.values())
 
     ws = Workspace()
     forward_batch(m, x[:901], lookback=30, workspace=ws)
     after_901 = held(ws)
-    assert after_901 < 16 * 2**20
+    assert after_901 <= 2.5 * 2**20
     forward_batch(m, x, lookback=30, workspace=ws)
     one_chunk = Workspace()
     forward_batch(m, x[:INFER_CHUNK], lookback=30, workspace=one_chunk)
     # 901 windows split into chunks of 61 and 60, 5000 into 64 and 63
-    assert after_901 <= held(ws) == held(one_chunk) < 16 * 2**20
+    assert after_901 <= held(ws) == held(one_chunk) <= 2.5 * 2**20
+
+
+def test_training_workspace_holds_no_projection_of_every_step():
+    """A training step keeps the gates and states of all T steps for BPTT
+    (19.9 MiB at B = 64, 6 x 32 LSTMs, T = 30; 22.1 MiB in all) but
+    projects the frames one step at a time, with no (n, T * B, 4H)
+    projection of every step (11.25 MiB more)."""
+    m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
+    x, y = random_batch(64, w=30, seed=1)
+    ws = Workspace()
+    loss_and_grads(m, x, y, lookback=30, workspace=ws)
+    assert held(ws) <= 23 * 2**20
 
 
 def test_forward_dimension_mismatch():
