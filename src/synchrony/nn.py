@@ -93,9 +93,9 @@ alone: the gain comes from the working set, not from fewer FLOPs
 threads, a window's final hidden states are bit-identical at every batch
 size >= 2 and every offset in the batch, but not at batch size 1, where
 the recurrent product is a GEMV; ``array_split`` makes a one-window chunk
-only of a one-window batch. The head's output for a window does change in the
-last bit with the batch size (the same six windows have equal hidden
-states at B = 6 and 63, but not equal ``z``), so the head is not
+only of a one-window batch. The head's output for a window does change
+in the last bit with the batch size (the same six windows have equal
+hidden states at B = 6 and 63, but not equal ``z``), so the head is not
 chunked. The predictions therefore equal those of one pass over the
 whole batch.
 """
