@@ -8,15 +8,24 @@ out because it holds a timestamp, and the eight pair CSVs are hashed as
 one concatenation, in file-name order. A change that alters result bytes
 on purpose updates ``GOLDEN`` and records the old and new hashes, and why,
 in CHANGES.md.
+
+A second, in-process pin covers the groups path (K = 3 participants of
+C = 3 action-unit channels, chosen from 5): ``ingest`` of AU CSVs written
+from a fixed seed, then ``baseline --normalize`` on the result, whose
+chimeras mix members of different lengths.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from synchrony.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -78,3 +87,58 @@ def test_result_files_match_golden_hashes(tmp_path, threads):
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
     assert _result_hashes(tmp_path) == GOLDEN
+
+
+GROUP_LENGTHS = (60, 64, 68, 72, 76, 80)
+AUS = ("AU01", "AU02", "AU04", "AU06", "AU12")
+
+GROUPS_GOLDEN = {
+    "data/summary.json": "2f62249d08c56cfa6a79c294a531aa9637481ad5eb93f3114d0c1e0487e074a0",
+    "baseline/report.json": "e7764c299a7289c4dda7fb85ac13bc9a7d873a245d117fc957c59a5599b34ffa",
+    "baseline/baseline_report.json": "6c503e97b289afc1396914e467c8eb00b57e8fb64643979b201b8bc6f72d84d0",
+    "baseline/folds.json": "139db7293fd83ad6d459659787f429c23f509b2d8b91a0e9c6c55eed47d05b3d",
+    "baseline/table.txt": "a2145714b4f2c42471ed0cf70a1a23d51ff6811764af65c10a7ec38d23c59131",
+}
+
+
+def _write_au_groups(src: Path) -> None:
+    """Six groups of three AU CSVs; member p of group g holds
+    ``GROUP_LENGTHS[g]`` frames of five AUs whose spread grows with the AU
+    index at a member-specific rate, so the top three differ by group."""
+    rng = np.random.default_rng(21)
+    groups, labels = {}, {}
+    for g, length in enumerate(GROUP_LENGTHS):
+        files = []
+        for p in range(3):
+            scale = rng.uniform(0.2, 2.0, len(AUS))
+            values = rng.standard_normal((length, len(AUS))) * scale
+            lines = ["frame," + ",".join(AUS)]
+            lines += [f"{t}," + ",".join(repr(float(v)) for v in row)
+                      for t, row in enumerate(values)]
+            name = f"g{g}_p{p}.csv"
+            (src / name).write_text("\n".join(lines) + "\n")
+            files.append(name)
+        groups[f"g{g}"] = files
+        labels[f"g{g}"] = float(rng.uniform(1.0, 5.0))
+    (src / "groups.json").write_text(json.dumps(groups))
+    (src / "labels.json").write_text(json.dumps(labels))
+
+
+def test_groups_result_files_match_golden_hashes(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    _write_au_groups(src)
+    data, out = tmp_path / "data", tmp_path / "baseline"
+    assert main(["ingest", "--manifest", str(src / "groups.json"),
+                 "--labels", str(src / "labels.json"), "--top-aus", "3",
+                 "--out", str(data)]) == 0
+    assert main(["baseline", "--data", str(data), "--folds", "3", "--normalize",
+                 "--window", "20", "--stride", "5", "--epochs", "2",
+                 "--batch-size", "16", "--hidden-size", "4", "--lstms", "2",
+                 "--lookback", "10", "--seed", "3", "--out", str(out)]) == 0
+    hashes = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in [data / "summary.json", *(out / name for name in
+                     ("report.json", "baseline_report.json", "folds.json", "table.txt"))]
+    }
+    assert hashes == GROUPS_GOLDEN
