@@ -41,7 +41,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .core import InteractionSample, TimeSeries
+from .core import InteractionSample
 from .experiments import (
     ExperimentConfig,
     kfold_cv,
@@ -51,7 +51,6 @@ from .experiments import (
 )
 from .generate import COUPLING_RANGE, GeneratedPair, gen_dataset, preset_pairs
 from .ingest import (
-    AuRecording,
     aggregate_annotations,
     group_to_sample,
     load_annotation_csv,
@@ -338,7 +337,7 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
     if len(names) != 2:
         raise CliError(f"{path}: expected the 3 columns frame,x,y")
     return InteractionSample(
-        ((TimeSeries(values[:, 0]),), (TimeSeries(values[:, 1]),)),
+        values[:, :, None],
         label=_label(entry["label"], where),
         group_id=str(entry.get("group_id", Path(entry["file"]).stem)),
     )
@@ -346,10 +345,10 @@ def _load_pair(data_dir: Path, entry, where: str, ctx) -> InteractionSample:
 
 def _load_groups(
     base: Path, groups, labels, top_aus, where: str, ctx
-) -> list[tuple[InteractionSample, list[AuRecording]]]:
+) -> list[tuple[InteractionSample, list[str]]]:
     """Each group of a groups mapping ({gid: [AU CSV relative to base, ...]})
-    as a labelled sample of its ``top_aus`` most active AUs, with its
-    recordings. A malformed mapping, labels object or ``top_aus``, or a
+    as a labelled sample of its ``top_aus`` most active AUs, with the names
+    of those AUs. A malformed mapping, labels object or ``top_aus``, or a
     group whose recordings make no sample, raises CliError naming it."""
     if not isinstance(groups, dict) or not isinstance(labels, dict):
         raise CliError(f"{where}: 'groups' and 'labels' must be objects")
@@ -369,10 +368,10 @@ def _load_groups(
                 ctx.record_input(path)
             recs.append(load_au_csv(path))
         try:
-            sample = group_to_sample(recs, label, gid, k=top_aus)
+            aus = select_top_aus(recs, k=top_aus)
+            loaded.append((group_to_sample(recs, aus, label, gid), aus))
         except ValueError as exc:
             raise CliError(f"{where}: group {gid!r}: {exc}") from None
-        loaded.append((sample, recs))
     return loaded
 
 
@@ -498,9 +497,9 @@ def cmd_ingest(ctx: RunContext, _: None) -> None:
             "participants": s.n_participants,
             "frames": s.n_frames,
             "label": s.label,
-            "selected_aus": select_top_aus(recs, k=cfg["top_aus"]),
+            "selected_aus": aus,
         }
-        for s, recs in loaded
+        for s, aus in loaded
     })
 
 

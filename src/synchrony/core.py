@@ -1,7 +1,8 @@
 """Core time-series containers and window arithmetic.
 
 Everything downstream (generation, training, evaluation) works in terms of
-these types: a single uniformly sampled signal, a labeled group of signals,
+these types: a labeled group recording held as one read-only (T, K, C)
+array, a single signal (``TimeSeries``, used only for generated pairs),
 and a ``WindowedDataset`` that lists fixed-length windows as start frames
 into the stacked per-frame matrices of such groups. Windows are cut (and
 optionally z-scored) in ``experiments.build_windowed_dataset``; only
@@ -18,8 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    arr = np.array(arr, copy=True)
+    arr = np.array(values, dtype=np.float64, order="C", copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -41,57 +41,69 @@ class TimeSeries:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("TimeSeries values must be finite")
 
+    def __reduce__(self):
+        # pickle keeps no write flag, so a copy is rebuilt through __post_init__
+        return (TimeSeries, (self.values,))
+
     def __len__(self) -> int:
         return self.values.size
 
 
 @dataclass(frozen=True)
 class InteractionSample:
-    """A group of participants, each contributing equally long channels.
+    """One labeled group recording.
 
-    ``participants`` is a list of channel-sets; channel-set ``k`` holds the
-    C channels of participant ``k``. All K*C channels must agree in
-    length. ``label`` is the scalar synchrony score for the whole
-    group (annotated score for real data, prescribed cross-covariance for
-    synthetic data).
+    ``values`` is a read-only, C-ordered float64 copy of shape (T, K, C):
+    entry [t, k, c] is channel c of participant k at frame t, with T >= 1
+    frames, K >= 2 participants, C >= 1 channels and every value finite.
+    ``label`` is the scalar synchrony score for the whole group (annotated
+    score for real data, prescribed cross-covariance for synthetic data).
     """
 
-    participants: tuple[tuple[TimeSeries, ...], ...]
+    values: np.ndarray
     label: float
     group_id: str
 
     def __post_init__(self):
-        parts = tuple(tuple(cs) for cs in self.participants)
-        object.__setattr__(self, "participants", parts)
-        if len(parts) < 2:
+        values = _as_readonly_f64(self.values)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 3 or 0 in values.shape:
+            raise ValueError(f"values must be a non-empty (T, K, C) array, not {values.shape}")
+        if values.shape[1] < 2:
             raise ValueError("need at least 2 participants")
-        n_channels = {len(cs) for cs in parts}
-        if n_channels == {0} or len(n_channels) != 1:
-            raise ValueError("all participants must share the same non-zero channel count")
-        lengths = {len(ts) for cs in parts for ts in cs}
-        if len(lengths) != 1:
-            raise ValueError("all channels must share one length")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sample values must be finite")
         if not np.isfinite(self.label):
             raise ValueError("label must be finite")
 
-    @property
-    def n_participants(self) -> int:
-        return len(self.participants)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.participants[0])
+    def __reduce__(self):
+        # pickle keeps no write flag, so a copy is rebuilt through __post_init__
+        return (InteractionSample, (self.values, self.label, self.group_id))
 
     @property
     def n_frames(self) -> int:
-        return len(self.participants[0][0])
+        return self.values.shape[0]
+
+    @property
+    def n_participants(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def n_channels(self) -> int:
+        return self.values.shape[2]
+
+    @property
+    def participants(self) -> tuple[tuple[TimeSeries, ...], ...]:
+        """Each participant's channels as ``TimeSeries`` copies. Kept only
+        because the benchmark (``perfbench/workloads.py:231``) reads it;
+        a change to the benchmark retires it."""
+        return tuple(tuple(TimeSeries(ch) for ch in part.T)
+                     for part in self.values.transpose(1, 0, 2))
 
     def frames(self) -> np.ndarray:
-        """The (T, K*C) per-frame matrix; column k*C + c holds channel c of
-        participant k."""
-        return np.stack(
-            [ts.values for cs in self.participants for ts in cs], axis=1
-        )
+        """The read-only (T, K*C) per-frame matrix, a view of ``values``;
+        column k*C + c holds channel c of participant k."""
+        return self.values.reshape(self.n_frames, -1)
 
 
 @dataclass(frozen=True)

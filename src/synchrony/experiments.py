@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     InteractionSample,
-    TimeSeries,
     WindowedDataset,
     check_window,
     window_count,
@@ -318,21 +317,18 @@ def make_chimera(
     if len(donors) < k - 1:
         raise ValueError("need at least K-1 donor groups")
     keep = int(rng.integers(k))
-    donor_idx = rng.choice(len(donors), size=k - 1, replace=False)
-    parts = []
-    di = 0
+    donor_idx = iter(rng.choice(len(donors), size=k - 1, replace=False))
+    members = []
     for j in range(k):
         if j == keep:
-            parts.append(sample.participants[j])
+            members.append(sample.values[:, j])
         else:
-            donor = donors[int(donor_idx[di])]
-            member = int(rng.integers(donor.n_participants))
-            parts.append(donor.participants[member])
-            di += 1
-    n = min(len(cs[0]) for cs in parts)
-    parts = [tuple(TimeSeries(ts.values[:n]) for ts in cs) for cs in parts]
+            donor = donors[int(next(donor_idx))]
+            members.append(donor.values[:, int(rng.integers(donor.n_participants))])
+    n = min(len(m) for m in members)
     return InteractionSample(
-        tuple(parts), label=sample.label, group_id=f"{sample.group_id}:chimera"
+        np.stack([m[:n] for m in members], axis=1),
+        label=sample.label, group_id=f"{sample.group_id}:chimera",
     )
 
 
@@ -370,7 +366,8 @@ def pair_to_sample(pair: GeneratedPair, group_id: str) -> InteractionSample:
     if pair.coupling is None:
         raise ValueError("pair carries no coupling label")
     return InteractionSample(
-        ((pair.x,), (pair.y,)), label=float(pair.coupling), group_id=group_id
+        np.stack([pair.x.values, pair.y.values], axis=1)[:, :, None],
+        label=float(pair.coupling), group_id=group_id,
     )
 
 
@@ -465,9 +462,8 @@ def latent_group_samples(
     children = np.random.SeedSequence(seed).spawn(n_groups + 1)
     labels = np.random.default_rng(children[0]).uniform(*COUPLING_RANGE, size=n_groups)
     return [
-        InteractionSample(
-            tuple((m,) for m in latent_driver_group(n_members, length, float(lab), child)),
-            label=float(lab), group_id=f"group_{i:03d}")
+        InteractionSample(latent_driver_group(n_members, length, float(lab), child)[:, :, None],
+                          label=float(lab), group_id=f"group_{i:03d}")
         for i, (lab, child) in enumerate(zip(labels, children[1:]))
     ]
 

@@ -294,8 +294,9 @@ def preset_pairs(kind: str, seed, length: int = 100) -> GeneratedPair:
 
 def latent_driver_group(
     n_members: int, length: int, coupling: float, seed
-) -> list[TimeSeries]:
-    """Members sharing a common latent driver with strength ``coupling``.
+) -> np.ndarray:
+    """The (length, n_members) traces of members sharing a common latent
+    driver with strength ``coupling``.
 
     Member k is sqrt(coupling) * z + sqrt(1 - coupling) * eps_k with a
     shared driver z, so every pair of members has cross-covariance
@@ -307,10 +308,5 @@ def latent_driver_group(
         raise ValueError("need at least 2 members")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(length)
-    return [
-        TimeSeries(
-            np.sqrt(coupling) * z
-            + np.sqrt(1.0 - coupling) * rng.standard_normal(length)
-        )
-        for _ in range(n_members)
-    ]
+    eps = rng.standard_normal((n_members, length))
+    return (np.sqrt(coupling) * z + np.sqrt(1.0 - coupling) * eps).T

@@ -7,7 +7,7 @@ File formats:
     counting up by 1, finite values. An AU CSV (one participant,
     ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
-    an ordered list of participant CSV paths (order defines channel-set
+    an ordered list of participant CSV paths (order defines participant
     position).
   - Annotation CSV: rows ``group_id,labeler_id,score`` with scores in [1, 5].
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InteractionSample, TimeSeries
+from .core import InteractionSample
 
 
 class IngestError(ValueError):
@@ -30,16 +30,13 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class AuRecording:
-    """One participant's AU intensity traces."""
+    """One participant's AU intensity traces as ``read_frame_csv`` gives
+    them: column j of the (T, C) ``values`` is the trace of AU
+    ``names[j]``."""
 
     participant_id: str
-    au_channels: dict[str, TimeSeries]
-
-    def __post_init__(self):
-        if not self.au_channels:
-            raise IngestError("recording has no AU channels")
-        if len({len(ts) for ts in self.au_channels.values()}) != 1:
-            raise IngestError("AU channels must share one length")
+    names: list[str]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,13 @@ def _bad_line(path, n_columns: int) -> str | None:
 def load_au_csv(path) -> AuRecording:
     """One participant's AU frame CSV; the participant id is the file name
     without its suffix."""
-    names, values = read_frame_csv(path)
-    channels = {au: TimeSeries(col) for au, col in zip(names, values.T)}
-    return AuRecording(participant_id=Path(path).stem, au_channels=channels)
+    return AuRecording(Path(path).stem, *read_frame_csv(path))
 
 
-def mean_average_deviation(series: TimeSeries) -> float:
-    """Mean absolute deviation from the mean; the AU activity measure."""
-    v = series.values
+def mean_average_deviation(trace) -> float:
+    """Mean absolute deviation from the mean of a 1-D trace; the AU
+    activity measure."""
+    v = np.asarray(trace, dtype=np.float64)
     return float(np.mean(np.abs(v - v.mean())))
 
 
@@ -170,15 +166,14 @@ def select_top_aus(recordings: list[AuRecording], k: int = 3) -> list[str]:
     """
     if not recordings:
         raise IngestError("no recordings")
-    shared = set(recordings[0].au_channels)
+    shared = set(recordings[0].names)
     for rec in recordings[1:]:
-        shared &= set(rec.au_channels)
+        shared &= set(rec.names)
     if len(shared) < k:
         raise IngestError(f"only {len(shared)} shared AUs, need {k}")
     activity = {
-        au: float(
-            np.mean([mean_average_deviation(r.au_channels[au]) for r in recordings])
-        )
+        au: float(np.mean([mean_average_deviation(r.values[:, r.names.index(au)])
+                           for r in recordings]))
         for au in shared
     }
     ranked = sorted(activity, key=lambda au: (-activity[au], au))
@@ -186,16 +181,17 @@ def select_top_aus(recordings: list[AuRecording], k: int = 3) -> list[str]:
 
 
 def group_to_sample(
-    recordings: list[AuRecording], label: float, group_id: str, k: int = 3
+    recordings: list[AuRecording], aus: list[str], label: float, group_id: str
 ) -> InteractionSample:
-    """Assemble a group's recordings into a labeled InteractionSample,
-    keeping only the group's top-k most active AUs (aligned positionally
-    across participants)."""
-    aus = select_top_aus(recordings, k=k)
-    parts = tuple(
-        tuple(rec.au_channels[au] for au in aus) for rec in recordings
+    """A group's recordings as a labeled InteractionSample of the named AUs,
+    in the order given, for every participant."""
+    if len({len(rec.values) for rec in recordings}) != 1:
+        raise IngestError("all channels must share one length")
+    return InteractionSample(
+        np.stack([rec.values[:, [rec.names.index(au) for au in aus]] for rec in recordings],
+                 axis=1),
+        label=label, group_id=group_id,
     )
-    return InteractionSample(parts, label=label, group_id=group_id)
 
 
 def load_annotation_csv(path) -> list[AnnotationSet]:

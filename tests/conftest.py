@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from synchrony.core import InteractionSample, TimeSeries
+from synchrony.core import InteractionSample
 
 
 def random_sample(
     k=2, c=1, t=60, label=0.5, group_id="g0", seed=0
 ) -> InteractionSample:
-    rng = np.random.default_rng(seed)
-    parts = tuple(
-        tuple(TimeSeries(rng.standard_normal(t)) for _ in range(c))
-        for _ in range(k)
-    )
-    return InteractionSample(parts, label=label, group_id=group_id)
+    # participant-major, channel by channel: each channel is t consecutive draws
+    values = np.random.default_rng(seed).standard_normal((k, c, t))
+    return InteractionSample(values.transpose(2, 0, 1), label=label, group_id=group_id)
 
 
 @pytest.fixture

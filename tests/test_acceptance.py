@@ -9,7 +9,6 @@ them from scratch and demands bit-identical results.
 import numpy as np
 import pytest
 
-from synchrony.core import TimeSeries
 from synchrony.experiments import (
     ExperimentConfig,
     covariance_recovery_experiment,
@@ -325,9 +324,9 @@ def test_c6_lstm_count_sweep(sweep_rows, tmp_path, capsys):
 
 
 def test_c7_annotation_aggregation(capsys):
-    assert mean_average_deviation(TimeSeries([3.0, 3.0, 3.0])) == 0.0
-    assert abs(mean_average_deviation(TimeSeries([1.0, 2.0, 3.0])) - 2.0 / 3.0) < 1e-12
-    assert mean_average_deviation(TimeSeries([0.0, 4.0])) == 2.0
+    assert mean_average_deviation([3.0, 3.0, 3.0]) == 0.0
+    assert abs(mean_average_deviation([1.0, 2.0, 3.0]) - 2.0 / 3.0) < 1e-12
+    assert mean_average_deviation([0.0, 4.0]) == 2.0
 
     # unanimous labelers: tie broken by lowest id, labels pass through
     agree = [

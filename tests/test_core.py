@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from synchrony import cli, experiments, ingest
 from synchrony.core import (
     InteractionSample,
     TimeSeries,
@@ -23,13 +26,51 @@ def test_timeseries_rejects_bad_input():
         TimeSeries([1.0, np.nan])
 
 
-def test_sample_validates_dimensions():
-    a = TimeSeries([1.0, 2.0, 3.0])
-    short = TimeSeries([1.0, 2.0])
-    with pytest.raises(ValueError):
-        InteractionSample(((a,),), label=1.0, group_id="g")  # K < 2
-    with pytest.raises(ValueError):
-        InteractionSample(((a,), (short,)), label=1.0, group_id="g")
+@pytest.mark.parametrize("values, label, message", [
+    pytest.param(np.ones((4, 2)), 1.0, "non-empty", id="ndim=2"),
+    pytest.param(np.ones((4, 2, 1, 1)), 1.0, "non-empty", id="ndim=4"),
+    pytest.param(np.ones((0, 2, 1)), 1.0, "non-empty", id="T=0"),
+    pytest.param(np.ones((4, 2, 0)), 1.0, "non-empty", id="C=0"),
+    pytest.param(np.ones((4, 1, 1)), 1.0, "need at least 2 participants", id="K=1"),
+    pytest.param(np.where(np.arange(8).reshape(4, 2, 1) == 5, np.nan, 1.0), 1.0,
+                 "values must be finite", id="nan-value"),
+    pytest.param(np.ones((4, 2, 1)), np.nan, "label must be finite", id="nan-label"),
+])
+def test_sample_validates_dimensions(values, label, message):
+    with pytest.raises(ValueError, match=message):
+        InteractionSample(values, label=label, group_id="g")
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_sample_keeps_a_c_ordered_read_only_copy(layout):
+    raw = np.random.default_rng(1).standard_normal((5, 3, 2))
+    if layout == "fortran":
+        source = np.asfortranarray(raw)
+    else:
+        source = np.ascontiguousarray(raw.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not source.flags.c_contiguous
+    s = InteractionSample(source, label=0.5, group_id="g")
+    assert s.values.flags.c_contiguous and not s.values.flags.writeable
+    assert np.array_equal(s.values, raw)
+    assert np.shares_memory(s.frames(), s.values)
+    assert np.array_equal(s.frames(), raw.reshape(5, 6))
+    source[...] = 0.0
+    assert np.array_equal(s.values, raw)
+
+
+def test_participants_are_timeseries_of_the_channels():
+    s = random_sample(k=3, c=2, t=9)
+    parts = s.participants
+    assert [len(part) for part in parts] == [2, 2, 2]
+    for k, part in enumerate(parts):
+        for c, ts in enumerate(part):
+            assert isinstance(ts, TimeSeries)
+            assert np.array_equal(ts.values, s.values[:, k, c])
+
+
+@pytest.mark.parametrize("module", [cli, experiments, ingest])
+def test_samples_and_recordings_build_no_timeseries(module):
+    assert "TimeSeries" not in vars(module)
 
 
 def test_window_counts():
@@ -51,8 +92,7 @@ def test_extract_windows_whole_signal():
     s = random_sample(t=100)
     x = windows(s, 100, 1)
     assert len(x) == 1
-    raw = np.stack([s.participants[k][0].values for k in range(2)], axis=1)
-    np.testing.assert_array_equal(x[0], raw)
+    np.testing.assert_array_equal(x[0], s.values[:, :, 0])
 
 
 def test_extract_windows_starts_are_arithmetic():
@@ -61,9 +101,7 @@ def test_extract_windows_starts_are_arithmetic():
         starts = build_windowed_dataset([s], 50, stride).starts.tolist()
         assert starts == list(range(0, starts[-1] + 1, stride))
         first_frames = windows(s, 50, stride)[:, 0, 0]
-        np.testing.assert_array_equal(
-            first_frames, s.participants[0][0].values[starts]
-        )
+        np.testing.assert_array_equal(first_frames, s.values[starts, 0, 0])
 
 
 def test_extract_windows_data_matches_parent():
@@ -76,7 +114,7 @@ def test_extract_windows_data_matches_parent():
         k = int(rng.integers(3))
         c = int(rng.integers(2))
         j = int(rng.integers(40))
-        expected = s.participants[k][c].values[i * stride + j]
+        expected = s.values[i * stride + j, k, c]
         assert x[i, j, k * 2 + c] == expected
 
 
@@ -90,9 +128,9 @@ def test_extract_windows_errors():
 
 def zscored(values):
     """A channel as ``build_windowed_dataset(..., normalize=True)`` leaves it."""
-    ts = TimeSeries(values)
-    s = InteractionSample(((ts,), (ts,)), label=0.5, group_id="g")
-    return build_windowed_dataset([s], len(ts), normalize=True).frames[:, 0]
+    s = InteractionSample(np.stack([values, values], axis=1)[:, :, None], label=0.5,
+                          group_id="g")
+    return build_windowed_dataset([s], len(values), normalize=True).frames[:, 0]
 
 
 def test_zscore_examples():
@@ -115,3 +153,14 @@ def test_zscore_idempotent(values):
     once = zscored(values)
     twice = zscored(once)
     np.testing.assert_allclose(twice, once, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: TimeSeries([0.5, -1.25, 3.0]),
+                                  lambda: random_sample(k=3, c=2, t=7)],
+                         ids=["TimeSeries", "InteractionSample"])
+def test_pickled_container_is_rebuilt_read_only(make):
+    original = make()
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is type(original)
+    assert not copy.values.flags.writeable
+    assert copy.values.tobytes() == original.values.tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from synchrony import experiments
-from synchrony.core import InteractionSample, TimeSeries
+from synchrony.core import InteractionSample
 from synchrony.experiments import (
     ExperimentConfig,
     build_windowed_dataset,
@@ -75,14 +75,13 @@ def test_windows_match_raw_signal_slices(k, c, stride, normalize):
     dataset = build_windowed_dataset(samples, w, stride, normalize=normalize)
     x, y = windows_to_batch(dataset)
 
-    def raw(ts):
-        v = ts.values
+    def raw(v):
         return (v - float(np.mean(v))) / float(np.std(v)) if normalize else v
 
     want_x, want_y = [], []
     for s in samples:
         # participant-major columns: k * C + c
-        signals = [raw(ts) for part in s.participants for ts in part]
+        signals = [raw(np.ascontiguousarray(s.values[:, j // c, j % c])) for j in range(k * c)]
         starts = range(0, s.n_frames - w + 1, stride)
         rows = [np.stack([v[st : st + w] for v in signals], axis=1) for st in starts]
         one, _ = windows_to_batch(build_windowed_dataset([s], w, stride, normalize=normalize))
@@ -167,7 +166,7 @@ def test_training_keeps_each_group_on_one_side(monkeypatch):
     # six groups of two samples each, the two listed apart
     pairs = pair_samples(12, t=60, seed=5)
     samples = [
-        InteractionSample(p.participants, label=p.label, group_id=f"grp{i % 6}")
+        InteractionSample(p.values, label=p.label, group_id=f"grp{i % 6}")
         for i, p in enumerate(pairs)
     ]
     seen = []
@@ -335,11 +334,7 @@ def test_chimera_construction():
         assert chim.label == source.label
         # exactly one member retained from the source
         kept = sum(
-            any(
-                np.array_equal(chim.participants[j][0].values,
-                               source.participants[i][0].values)
-                for i in range(3)
-            )
+            any(np.array_equal(chim.values[:, j], source.values[:, i]) for i in range(3))
             for j in range(3)
         )
         assert kept == 1
@@ -351,8 +346,7 @@ def test_chimera_of_groups_of_different_lengths():
     lengths = (90, 60, 70, 80)
     full = [random_sample(k=3, t=90, group_id=f"g{i}", seed=i) for i in range(4)]
     cut = [
-        InteractionSample(tuple((TimeSeries(cs[0].values[:t]),) for cs in s.participants),
-                          label=s.label, group_id=s.group_id)
+        InteractionSample(s.values[:t], label=s.label, group_id=s.group_id)
         for s, t in zip(full, lengths)
     ]
     rng_full, rng_cut = np.random.default_rng(0), np.random.default_rng(0)
@@ -361,12 +355,11 @@ def test_chimera_of_groups_of_different_lengths():
         chim = make_chimera(cut[0], cut[1:], rng_cut)
         origin = [
             next(t for s, t in zip(full, lengths)
-                 if any(np.array_equal(m[0].values, cs[0].values) for cs in s.participants))
-            for m in whole.participants
+                 if any(np.array_equal(m, cs) for cs in s.values.transpose(1, 0, 2)))
+            for m in whole.values.transpose(1, 0, 2)
         ]
         assert chim.n_frames == min(origin)
-        for m, w in zip(chim.participants, whole.participants):
-            assert np.array_equal(m[0].values, w[0].values[:chim.n_frames])
+        assert np.array_equal(chim.values, whole.values[:chim.n_frames])
 
 
 def test_baseline_scores_against_original_labels():
@@ -446,7 +439,7 @@ def test_latent_group_samples_keep_their_bytes():
     h = hashlib.sha256()
     for s in latent_group_samples(4, 3, 50, seed=5):
         h.update(np.float64(s.label).tobytes())
-        for (member,) in s.participants:
-            h.update(member.values.tobytes())
+        for member in s.values[:, :, 0].T:
+            h.update(member.tobytes())
     assert h.hexdigest() == (
         "7fd53dabacfc81d32b02e13bbd0d2e8cbf3e5043ce497840fd18107ad7cfb13f")

@@ -337,7 +337,7 @@ def test_latent_driver_group_statistics():
     members = latent_driver_group(3, 10**5, 0.6, 12)
     for a in range(3):
         for b in range(a + 1, 3):
-            cov = np.mean(members[a].values * members[b].values)
+            cov = np.mean(members[:, a] * members[:, b])
             assert abs(cov - 0.6) < 4.0 / np.sqrt(10**5)
 
 
