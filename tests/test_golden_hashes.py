@@ -103,8 +103,8 @@ GROUPS_GOLDEN = {
 
 def _write_au_groups(src: Path) -> None:
     """Six groups of three AU CSVs; member p of group g holds
-    ``GROUP_LENGTHS[g]`` frames of five AUs whose spread grows with the AU
-    index at a member-specific rate, so the top three differ by group."""
+    ``GROUP_LENGTHS[g]`` frames of five AUs, each AU scaled by its own
+    random spread per member, so the top three differ by group."""
     rng = np.random.default_rng(21)
     groups, labels = {}, {}
     for g, length in enumerate(GROUP_LENGTHS):
