@@ -6,8 +6,8 @@ array, a single signal (``TimeSeries``, used only for generated pairs),
 and a ``WindowedDataset`` that lists fixed-length windows as start frames
 into the stacked per-frame matrices of such groups. Windows are cut (and
 optionally z-scored) in ``experiments.build_windowed_dataset``; only
-``nn.windows_to_batch`` copies window data, and only the frames a step
-reads.
+``nn.windows_to_batch`` and ``nn.forward_batch``'s chunk gather copy
+window data, and only the frames a step reads.
 """
 
 from __future__ import annotations
@@ -122,6 +122,11 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return self.starts.size
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(N, W, D), the shape of the window array these stand for."""
+        return len(self), self.window_length, self.frames.shape[1]
 
 
 def window_count(n_frames: int, window_length: int, stride: int) -> int:

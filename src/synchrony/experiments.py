@@ -5,8 +5,9 @@ sweep.
 Samples are cut into windows here and nowhere else, by
 ``build_windowed_dataset`` (which z-scores each channel when asked), for
 training and prediction alike. ``windows_to_batch`` then copies only the
-last ``lookback`` frames of each window: per training minibatch, once for
-the validation side, and per predicted sample. Splits are made on samples
+last ``lookback`` frames of each window per training minibatch; a
+validation pass and a predicted sample hand their ``WindowedDataset`` to
+``forward_batch``, which gathers it chunk by chunk. Splits are made on samples
 by group id before any window is cut, so all of a group lands on one side
 of every split. The synthetic experiments draw every coupling from
 ``generate.COUPLING_RANGE``.
@@ -140,8 +141,9 @@ def _check_samples(samples, window_length: int, stride: int) -> None:
         check_window(s.n_frames, window_length, stride)
 
 
-def _eval_mse(model, x, y, lookback, workspace) -> float:
-    return mse_loss(forward_batch(model, x, lookback=lookback, workspace=workspace), y)
+def _eval_mse(model, dataset: WindowedDataset, lookback, workspace) -> float:
+    return mse_loss(forward_batch(model, dataset, lookback=lookback, workspace=workspace),
+                    dataset.labels)
 
 
 def train_experiment(
@@ -155,7 +157,7 @@ def train_experiment(
     A seeded shuffle of the group ids puts ``train_fraction`` of them on
     the training side; each side is windowed by ``config``. Each
     minibatch is gathered at lookback width from the training windows,
-    the validation windows once at that width. Records
+    the validation windows chunk by chunk in each validation pass. Records
     per-epoch train/validation MSE and returns the parameters from the
     epoch with the best validation loss. Deterministic given config.
     Every training step and validation pass runs in ``workspace`` (a fresh
@@ -174,7 +176,6 @@ def train_experiment(
         build_windowed_dataset([s for s in samples if (s.group_id in train_ids) is side],
                                config.window_length, config.stride, normalize=config.normalize)
         for side in (True, False))
-    x_val, y_val = windows_to_batch(val, tc.lookback)
 
     input_size = train.frames.shape[1]
     model = init_model(
@@ -200,16 +201,15 @@ def train_experiment(
             running += loss * len(idx)
             model = opt.step(model, grads)
         train_mse = running / n
-        val_mse = _eval_mse(model, x_val, y_val, tc.lookback, ws)
+        val_mse = _eval_mse(model, val, tc.lookback, ws)
         epochs.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse
             best_model = model
             best_epoch = epoch
     if not epochs:  # zero epochs: score the untrained model
-        x_train, y_train = windows_to_batch(train, tc.lookback)
-        epochs = [{"epoch": 0, "train_mse": _eval_mse(model, x_train, y_train, tc.lookback, ws),
-                   "val_mse": _eval_mse(model, x_val, y_val, tc.lookback, ws)}]
+        epochs = [{"epoch": 0, "train_mse": _eval_mse(model, train, tc.lookback, ws),
+                   "val_mse": _eval_mse(model, val, tc.lookback, ws)}]
     return best_model, TrainHistory(tuple(epochs), best_epoch)
 
 
@@ -225,9 +225,9 @@ def predict_sample(
 ) -> float:
     """Window-level predictions, each from the last ``lookback`` frames of
     its window, aggregated to one score for the sample."""
-    x, _ = windows_to_batch(
-        build_windowed_dataset([sample], window_length, stride, normalize=normalize), lookback)
-    preds = forward_batch(model, x, lookback=lookback)
+    preds = forward_batch(
+        model, build_windowed_dataset([sample], window_length, stride, normalize=normalize),
+        lookback=lookback)
     if aggregation == "mean":
         return float(np.mean(preds))
     if aggregation == "median":

@@ -17,8 +17,9 @@ Batches. ``windows_to_batch`` is the one place window data is copied: it
 gathers the last ``lookback`` frames of chosen windows of a
 ``WindowedDataset`` (cut by ``experiments.build_windowed_dataset``) into
 a C-contiguous (B, lookback, D) array. Training gathers each minibatch
-so, and prediction each sample's windows; ``forward_batch`` also takes
-longer windows and reads their last ``lookback`` frames.
+so. ``forward_batch`` also takes longer windows and reads their last
+``lookback`` frames, or a ``WindowedDataset``, which it gathers chunk by
+chunk (see Inference).
 
 Training step. ``forward_batch`` and ``loss_and_grads`` write every
 intermediate with ``out=`` into a ``Workspace``, a set of named float64
@@ -80,24 +81,41 @@ of it the gates and states BPTT reads; projecting all T steps up front
 took 11.25 MiB more.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
-``np.array_split`` chunks of at most ``INFER_CHUNK`` = 64 windows, one
-after another in the same workspace, and then the head once over the
-whole batch. The workspace so holds one step of one chunk whatever B is:
-2.0 MiB after a 901-window batch at 6 x 32 LSTMs, where projecting each
-chunk's 30 steps up front held 12 MiB and one pass over the batch 177 MiB.
-A step's arrays so fit a 2 MiB per-core L2, where the up-front
-projection was written once and read back step by step from beyond it,
-and a one-pass step over 901 windows wrote a 5.5 MB pre-activation array
-alone: the gain comes from the working set, not from fewer FLOPs
-(Appleyard et al., arXiv:1604.01946). Measured with one and two OpenBLAS
-threads, a window's final hidden states are bit-identical at every batch
-size >= 2 and every offset in the batch, but not at batch size 1, where
-the recurrent product is a GEMV; ``array_split`` makes a one-window chunk
-only of a one-window batch. The head's output for a window does change
-in the last bit with the batch size (the same six windows have equal
-hidden states at B = 6 and 63, but not equal ``z``), so the head is not
-chunked. The predictions therefore equal those of one pass over the
-whole batch.
+``np.array_split`` chunks of at most ``INFER_CHUNK`` = 64 windows and then
+the head once over the whole batch. The workspace so holds one step of one
+chunk whatever B is: 2.0 MiB after a 901-window batch at 6 x 32 LSTMs,
+where projecting each chunk's 30 steps up front held 12 MiB and one pass
+over the batch 177 MiB. A step's arrays so fit a 2 MiB per-core L2, where
+the up-front projection was written once and read back step by step from
+beyond it, and a one-pass step over 901 windows wrote a 5.5 MB
+pre-activation array alone: the gain comes from the working set, not from
+fewer FLOPs (Appleyard et al., arXiv:1604.01946). Measured with one and
+two OpenBLAS threads, a window's final hidden states are bit-identical at
+every batch size >= 2 and every offset in the batch, but not at batch
+size 1, where the recurrent product is a GEMV; ``array_split`` makes a
+one-window chunk only of a one-window batch. The head's output for a
+window does change in the last bit with the batch size (the same six
+windows have equal hidden states at B = 6 and 63, but not equal ``z``),
+so the head is not chunked. The predictions therefore equal those of one
+pass over the whole batch.
+
+The chunks of one batch are independent, so they run on ``LANES`` threads
+(two where the process may use two CPUs): the caller runs the first half
+of the chunks in its workspace, and one helper thread, started the first
+time a batch has two chunks, runs the rest in a second workspace that the
+caller's owns, so ``kfold_cv`` and ``train_experiment`` reuse it too. The
+sign-folded weights and the broadcast bias are formed once per call, and
+both lanes read them. NumPy releases the GIL inside each GEMM and ufunc,
+so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~28% less
+time on two cores. Each lane writes only its chunks' rows of the final
+hidden states, and the cut into chunks, the work per chunk and the head
+are those of one lane, so the predictions keep their bytes on one lane or
+two. The caller joins the helper in a ``finally``: an error in either
+lane leaves ``forward_batch``, and no lane writes after it returns. A
+forked child drops the pool it inherits, whose thread it does not have,
+and starts its own. Given a ``WindowedDataset`` instead of an array, each
+lane gathers its own chunks at lookback width, so a validation pass or a
+predicted sample never holds its (B, lookback, D) array.
 """
 
 from __future__ import annotations
@@ -105,6 +123,8 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +134,10 @@ from .core import WindowedDataset, window_view
 DEFAULT_LOOKBACK = 30
 WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
 INFER_CHUNK = 64  # windows per bank pass without a cache
+# threads that share one batch's chunks: the caller and, where the process
+# may use two CPUs, one helper
+LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -269,11 +293,17 @@ def windows_to_batch(
     if w < lookback:
         raise ValueError("window shorter than lookback")
     pick = slice(None) if idx is None else idx
-    starts = dataset.starts[pick]
-    if starts.size == 0:
+    x = _gather(dataset, lookback, pick)
+    if len(x) == 0:
         raise ValueError("empty batch")
-    x = window_view(dataset.frames, lookback)[starts + (w - lookback)]
     return x, dataset.labels[pick]
+
+
+def _gather(dataset: WindowedDataset, lookback: int, pick) -> np.ndarray:
+    """``windows_to_batch``'s copy without its checks, for callers that
+    made them once: the last ``lookback`` frames of the windows ``pick``."""
+    starts = dataset.starts[pick] + (dataset.window_length - lookback)
+    return window_view(dataset.frames, lookback)[starts]
 
 
 class Workspace:
@@ -291,6 +321,14 @@ class Workspace:
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
+        self._helper_ws: Workspace | None = None
+
+    def _helper(self) -> "Workspace":
+        """The helper lane's workspace (see ``forward_batch``), made on
+        first use and kept with this one."""
+        if self._helper_ws is None:
+            self._helper_ws = Workspace()
+        return self._helper_ws
 
     def _get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -323,22 +361,31 @@ def _sigmoid_grad(x: np.ndarray, s: np.ndarray, scratch: np.ndarray,
     np.multiply(x, scratch, out=out)
 
 
-def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int):
-    """The bank over (B, T, D) frames in ``ws``, keeping the last ``keep``
-    steps; returns the final hidden states as a (B, n, H) view and the
-    gates, c, h and tc buffers."""
-    bsz, t, d = x.shape
-    n, hh = model.n_lstms, model.hidden_size
-    act = np.tanh if model.cell_activation == "tanh" else _relu
-
-    # the i, f and o rows negated (exact), so their pre-activations come
-    # out as -a, which is what the sigmoid reads
+def _fold_signs(model: SynchronyModel, ws: Workspace, bsz: int):
+    """wx^T and rh^T with the rows of the i, f and o gates negated (exact),
+    so those gates' pre-activations come out as -a, which is what the
+    sigmoid reads, and b so negated and broadcast to (n, bsz, 4H) in
+    ``ws``. Formed once per call; every chunk and lane reads them."""
+    hh = model.hidden_size
     sign = np.ones(4 * hh)
     sign[: 2 * hh] = sign[3 * hh :] = -1.0
     wx_t = (model.wx * sign[:, None]).transpose(0, 2, 1)
     rh_t = np.ascontiguousarray((model.rh * sign[:, None]).transpose(0, 2, 1))
-    bias = ws._get("bias", (n, bsz, 4 * hh))
+    bias = ws._get("bias", (model.n_lstms, bsz, 4 * hh))
     np.multiply(model.b[:, None, :], sign, out=bias)
+    return wx_t, rh_t, bias
+
+
+def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, folded):
+    """The bank over (B, T, D) frames in ``ws``, keeping the last ``keep``
+    steps, with the ``_fold_signs`` weights ``folded`` (their bias for at
+    least B windows); returns the final hidden states as a (B, n, H) view
+    and the gates, c, h and tc buffers."""
+    bsz, t, d = x.shape
+    n, hh = model.n_lstms, model.hidden_size
+    act = np.tanh if model.cell_activation == "tanh" else _relu
+    wx_t, rh_t, bias = folded
+    bias = bias[:, :bsz]
 
     # frames time-major; one input-projection GEMM covers `span` steps: two
     # at B = 1, as a one-row GEMM takes another BLAS path and other bits
@@ -382,39 +429,105 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int):
     return hfinal, {"gates": gates, "c": cs, "h": hs, "tc": tcs}
 
 
+_pool = None  # the helper lane's thread, started by the first batch that needs it
+_pool_lock = threading.Lock()
+
+
+def _helper_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so importing the package loads and starts nothing
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(LANES - 1, thread_name_prefix="synchrony-lane")
+        return _pool
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no helper thread to wait on, and its copy of the
+    # lock may be held by a thread it does not have; it starts anew
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
+                    ws: Workspace) -> np.ndarray:
+    """The bank's final hidden states, (B, n, H), over ``np.array_split``
+    chunks of at most ``INFER_CHUNK`` windows; ``windows(lo, hi)`` gives
+    the frames of windows lo to hi. With two lanes the caller runs the
+    first half of the chunks and the helper thread the rest."""
+    parts = max(1, math.ceil(n_windows / INFER_CHUNK))  # one empty chunk for B = 0
+    q, r = divmod(n_windows, parts)
+    edges = [k * q + min(k, r) for k in range(parts + 1)]  # as np.array_split
+    folded = _fold_signs(model, ws, edges[1])
+    hcat = np.empty((n_windows, model.n_lstms, model.hidden_size))
+
+    def lane(chunks, lane_ws):
+        for k in chunks:
+            lo, hi = edges[k], edges[k + 1]
+            hcat[lo:hi] = _run_bank(model, windows(lo, hi), lane_ws, 1, folded)[0]
+
+    mine, helper = range(parts), None
+    if LANES > 1 and parts > 1:
+        half = (parts + 1) // 2
+        mine = range(half)
+        helper = _helper_pool().submit(lane, range(half, parts), ws._helper())
+    try:
+        lane(mine, ws)
+    finally:
+        if helper is not None:  # joined even when this lane raised
+            helper.result()
+    return hcat
+
+
 def forward_batch(
     model: SynchronyModel,
-    x: np.ndarray,
+    x: np.ndarray | WindowedDataset,
     lookback: int,
     want_cache: bool = False,
     *,
     workspace: Workspace | None = None,
 ):
-    """Run the bank over a (B, T, D) batch; returns (B,) predictions.
+    """Run the bank over a batch of windows; returns (B,) predictions.
 
+    ``x`` is a (B, T, D) array, or a ``WindowedDataset`` whose windows are
+    gathered chunk by chunk, so its (B, lookback, D) array is never built.
     Only the final ``lookback`` frames are consumed (a lookback below 1
     raises ValueError). Hidden and cell states start at zero for every
     window (no carryover). Intermediate arrays live in ``workspace`` (a
     fresh one when None); with ``want_cache`` the cache returned beside
     the predictions holds views into it. Without it the bank runs in
-    chunks of at most ``INFER_CHUNK`` windows, the head over the batch.
+    chunks of at most ``INFER_CHUNK`` windows on ``LANES`` threads, the
+    head over the batch.
     """
-    if x.ndim != 3 or x.shape[2] != model.input_size:
+    if len(x.shape) != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
+    bsz, t, _ = x.shape
     if lookback <= 0:
         raise ValueError(f"lookback must be positive, not {lookback}")
-    if x.shape[1] < lookback:
+    if t < lookback:
         raise ValueError("window shorter than lookback")
-    x = x[:, -lookback:, :]
+    if isinstance(x, WindowedDataset):
+        dataset = x
+
+        def windows(lo, hi):
+            return _gather(dataset, lookback, slice(lo, hi))
+    else:
+        x = x[:, -lookback:, :]
+
+        def windows(lo, hi):
+            return x[lo:hi]
     ws = Workspace() if workspace is None else workspace
     if want_cache:
-        hcat, cache = _run_bank(model, x, ws, keep=lookback)
+        x = windows(0, bsz)
+        hcat, cache = _run_bank(model, x, ws, lookback, _fold_signs(model, ws, bsz))
     else:
-        parts = max(1, math.ceil(len(x) / INFER_CHUNK))  # one empty chunk for B = 0
-        hcat = np.empty((len(x), model.n_lstms, model.hidden_size))
-        for xc, out in zip(np.array_split(x, parts), np.array_split(hcat, parts)):
-            out[...] = _run_bank(model, xc, ws, keep=1)[0]
-    hcat = hcat.reshape(len(x), -1)
+        hcat = _bank_in_chunks(model, windows, bsz, ws)
+    hcat = hcat.reshape(bsz, -1)
     z = hcat @ model.head_w + model.head_b
     pred = np.maximum(z, 0.0)
     if want_cache:

@@ -4,18 +4,26 @@
 reused ``Workspace``.  The reference below is the allocating version they
 replaced, kept verbatim as the oracle: the two must agree bit for bit on
 predictions, loss and every gradient, whatever batch sizes one workspace
-has seen before.  The last test runs the step and a small k-fold report
-in fresh interpreters with one and two BLAS threads and compares bytes.
+has seen before.  Inference gives the same bytes on one lane and on two,
+and in a forked child.  The last test runs the step, a multi-chunk
+prediction and a small k-fold report in fresh interpreters with one and
+two BLAS threads and compares bytes.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from synchrony import nn
+from synchrony.cli import main
+from synchrony.core import WindowedDataset
 from synchrony.nn import (
     DEFAULT_LOOKBACK,
     Workspace,
@@ -226,12 +234,155 @@ def test_results_survive_the_next_call_on_the_workspace():
         assert np.array_equal(grads[k], kept[k]), k
 
 
+# lanes
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_predictions_equal_on_one_and_two_lanes(activation, monkeypatch):
+    """The chunks are cut the same way whatever LANES is, and a window's
+    hidden states do not depend on its chunk, so two lanes give the bytes
+    of one, also for a one-window batch and past 2048 windows."""
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
+    ws = Workspace()
+    for bsz in (1, 2, 64, 65, 129, 901, 3001):
+        x, _ = batch(bsz, d=3)
+        preds = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(nn, "LANES", lanes)
+            preds.append(forward_batch(model, x, lookback=LOOKBACK, workspace=ws))
+        assert np.array_equal(*preds), bsz
+
+
+def test_a_dataset_is_gathered_chunk_by_chunk_into_the_same_predictions(monkeypatch):
+    """Handed a WindowedDataset, each lane gathers its own chunks; the
+    predictions are those of the gathered (B, lookback, D) array."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    rng = np.random.default_rng(0)
+    frames = rng.standard_normal((400, 3))
+    frames.setflags(write=False)
+    starts = np.concatenate([np.arange(0, 161), np.arange(200, 361, 2)])
+    dataset = WindowedDataset(frames, WINDOW, starts, np.zeros(starts.size))
+    x, _ = nn.windows_to_batch(dataset, LOOKBACK)
+    pred = forward_batch(model, dataset, lookback=LOOKBACK)
+    assert np.array_equal(pred, forward_batch(model, x, lookback=LOOKBACK))
+    assert np.array_equal(pred, reference_forward_batch(model, x, lookback=LOOKBACK))
+
+
+def _fault_on(monkeypatch, helper: bool):
+    """A ``_run_bank`` that raises on the helper lane's chunks (``helper``)
+    or on the caller's; the other lane sleeps a little and then runs."""
+    run_bank = nn._run_bank
+    done = []
+
+    def faulty(*args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == helper:
+            raise FloatingPointError("fault in a lane")
+        time.sleep(0.01)
+        done.append(threading.current_thread())
+        return run_bank(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "LANES", 2)
+    monkeypatch.setattr(nn, "_run_bank", faulty)
+    return done
+
+
+@pytest.mark.parametrize("helper", [True, False])
+def test_an_error_in_either_lane_leaves_forward_batch(monkeypatch, helper):
+    """The error propagates, and the other lane has finished when it does:
+    the join sits in a ``finally``."""
+    done = _fault_on(monkeypatch, helper)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    x, _ = batch(4 * 64, d=3)
+    with pytest.raises(FloatingPointError, match="fault in a lane"):
+        forward_batch(model, x, lookback=LOOKBACK)
+    ran = len(done)
+    time.sleep(0.05)
+    assert ran == len(done) == 2  # the two chunks of the lane that did not fail
+    # one chunk runs on the calling thread alone
+    if helper:
+        forward_batch(model, x[:64], lookback=LOOKBACK)
+
+
+def test_an_error_in_the_helper_lane_exits_2_with_no_outputs(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert main(["datagen", "--pairs", "6", "--len", "200", "--phi-range", "0.1:0.9",
+                 "--seed", "3", "--out", str(data)]) == 0
+    _fault_on(monkeypatch, helper=True)
+    out = tmp_path / "run"
+    # the validation pair's 181 windows make three chunks
+    assert main(["train", "--data", str(data), "--out", str(out), "--window", "20",
+                 "--stride", "1", "--epochs", "1", "--hidden-size", "4", "--lstms", "2",
+                 "--lookback", "5"]) == 2
+    assert capsys.readouterr().err == "error: fault in a lane\n"
+    assert not out.exists()
+
+
+def _predict_into(conn, model, x):
+    conn.send_bytes(forward_batch(model, x, lookback=LOOKBACK).tobytes())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_a_forked_child_predicts_the_same_bytes(monkeypatch):
+    """A child forked after the helper thread started has no such thread;
+    it starts its own instead of waiting on the parent's."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    x, _ = batch(129, d=3)
+    want = forward_batch(model, x, lookback=LOOKBACK).tobytes()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_predict_into, args=(send, model, x))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child gave no prediction"
+        assert receive.recv_bytes() == want
+        child.join(10)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_concurrent_callers_share_the_helper_lane(monkeypatch):
+    """Four threads on two cores, switching every microsecond, each run
+    batches through forward_batch at once, from before the helper pool
+    exists: each gets the predictions it gets alone."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    inputs = [batch(bsz, d=3)[0] for bsz in (65, 129, 200, 333)]
+    want = [forward_batch(model, x, lookback=LOOKBACK) for x in inputs]
+    nn._drop_pool()
+    got = [[] for _ in inputs]
+
+    def caller(k):
+        ws = Workspace()
+        for _ in range(3):
+            got[k].append(forward_batch(model, inputs[k], lookback=LOOKBACK, workspace=ws))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for preds, ref in zip(got, want):
+        assert len(preds) == 3 and all(np.array_equal(p, ref) for p in preds)
+
+
 # BLAS thread counts
 
 _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from synchrony.experiments import ExperimentConfig, kfold_cv, pair_to_sample
+from synchrony.experiments import ExperimentConfig, kfold_cv, pair_to_sample, predict_sample
 from synchrony.generate import gen_dataset
 from synchrony.nn import TrainConfig, init_model, loss_and_grads
 
@@ -243,6 +394,10 @@ loss, grads = loss_and_grads(model, x, y, lookback=30)
 out.update(np.float64(loss).tobytes())
 for k in sorted(grads):
     out.update(grads[k].tobytes())
+# 351 windows: six chunks, on LANES lanes (at most 2050 windows, where
+# the head's GEMV still agrees across thread counts)
+long = pair_to_sample(gen_dataset(1, 400, (0.1, 0.9), 4)[0], "long")
+out.update(np.float64(predict_sample(model, long, 50, 1, lookback=30)).tobytes())
 samples = [pair_to_sample(p, f"pair_{i}") for i, p in
            enumerate(gen_dataset(8, 200, (0.1, 0.9), 3))]
 cfg = ExperimentConfig(window_length=50, stride=10, n_folds=4, seed=2,

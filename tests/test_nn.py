@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from synchrony import nn
 from synchrony.nn import (
     INFER_CHUNK,
     WORKSPACE_ALIGN,
@@ -176,23 +177,27 @@ def held(ws):
     return sum(buf.nbytes for buf in ws._buffers.values())
 
 
-def test_inference_workspace_does_not_grow_with_the_batch():
-    """Without a cache the bank runs one chunk of at most INFER_CHUNK
-    windows at a time and projects one step's frames at a time, so the
-    workspace holds what one step of one such chunk needs (2.0 MiB at
-    6 x 32 LSTMs) at any batch size."""
+def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
+    """Without a cache each lane runs one chunk of at most INFER_CHUNK
+    windows at a time and projects one step's frames at a time, so each
+    lane's workspace holds what one step of one such chunk needs (2.0 MiB
+    at 6 x 32 LSTMs for the caller's, which also holds the bias both
+    lanes read) at any batch size."""
+    monkeypatch.setattr(nn, "LANES", 2)
     m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
     x, _ = random_batch(5000, w=30, seed=1)
 
     ws = Workspace()
     forward_batch(m, x[:901], lookback=30, workspace=ws)
-    after_901 = held(ws)
+    after_901, helper_after_901 = held(ws), held(ws._helper())
     assert after_901 <= 2.5 * 2**20
+    assert 0 < helper_after_901 <= 2.5 * 2**20
     forward_batch(m, x, lookback=30, workspace=ws)
     one_chunk = Workspace()
     forward_batch(m, x[:INFER_CHUNK], lookback=30, workspace=one_chunk)
     # 901 windows split into chunks of 61 and 60, 5000 into 64 and 63
     assert after_901 <= held(ws) == held(one_chunk) <= 2.5 * 2**20
+    assert helper_after_901 <= held(ws._helper()) <= 2.5 * 2**20
 
 
 def test_training_workspace_holds_no_projection_of_every_step():
