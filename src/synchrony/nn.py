@@ -106,7 +106,7 @@ time a batch has two chunks, runs the rest in a second workspace that the
 caller's owns, so ``kfold_cv`` and ``train_experiment`` reuse it too. The
 sign-folded weights and the broadcast bias are formed once per call, and
 both lanes read them. NumPy releases the GIL inside each GEMM and ufunc,
-so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~28% less
+so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~25% less
 time on two cores. Each lane writes only its chunks' rows of the final
 hidden states, and the cut into chunks, the work per chunk and the head
 are those of one lane, so the predictions keep their bytes on one lane or
