@@ -102,20 +102,27 @@ pass over the whole batch.
 The chunks of one batch are independent, so they run on ``LANES`` threads
 (two where the process may use two CPUs): the caller runs the first half
 of the chunks in its workspace, and one helper thread, started the first
-time a batch has two chunks, runs the rest in a second workspace that the
-caller's owns, so ``kfold_cv`` and ``train_experiment`` reuse it too. The
-sign-folded weights and the broadcast bias are formed once per call, and
-both lanes read them. NumPy releases the GIL inside each GEMM and ufunc,
-so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~25% less
-time on two cores. Each lane writes only its chunks' rows of the final
-hidden states, and the cut into chunks, the work per chunk and the head
-are those of one lane, so the predictions keep their bytes on one lane or
-two. The caller joins the helper in a ``finally``: an error in either
-lane leaves ``forward_batch``, and no lane writes after it returns. A
-forked child drops the pool it inherits, whose thread it does not have,
-and starts its own. Given a ``WindowedDataset`` instead of an array, each
-lane gathers its own chunks at lookback width, so a validation pass or a
-predicted sample never holds its (B, lookback, D) array.
+time a batch has ``SPLIT_MIN_CHUNKS`` = 8 chunks, runs the rest in a
+second workspace that the caller's owns, so ``kfold_cv`` and
+``train_experiment`` reuse it too. The sign-folded weights and the
+broadcast bias are formed once per call, and both lanes read them. NumPy
+releases the GIL inside each GEMM and ufunc, so the lanes overlap; at
+6 x 32 LSTMs a 901-window batch takes ~25% less time on two cores. A
+smaller batch runs on the caller alone: on a 2-vCPU Xeon VM two lanes
+were slower than one at 2 to 5 chunks when another process held the
+second core, and a ``synchrony baseline`` run that woke the helper for
+its two-chunk validation passes ran its training steps up to 44% slower
+afterwards, varying from run to run, while a run that never woke it
+matched one without lanes. Each lane writes only its chunks' rows of the
+final hidden states, and the cut into chunks, the work per chunk and the
+head are those of one lane, so the predictions keep their bytes on one
+lane or two. The caller joins the helper in a ``finally``: an error in
+either lane leaves ``forward_batch``, and no lane writes after it
+returns. A forked child drops the pool it inherits, whose thread it does
+not have, and starts its own. Given a ``WindowedDataset`` instead of an
+array, each lane gathers its own chunks at lookback width, so a
+validation pass or a predicted sample never holds its (B, lookback, D)
+array.
 """
 
 from __future__ import annotations
@@ -138,6 +145,8 @@ INFER_CHUNK = 64  # windows per bank pass without a cache
 # may use two CPUs, one helper
 LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# chunks (at least 2) a batch needs before the helper takes half of them
+SPLIT_MIN_CHUNKS = 8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -458,8 +467,9 @@ def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
                     ws: Workspace) -> np.ndarray:
     """The bank's final hidden states, (B, n, H), over ``np.array_split``
     chunks of at most ``INFER_CHUNK`` windows; ``windows(lo, hi)`` gives
-    the frames of windows lo to hi. With two lanes the caller runs the
-    first half of the chunks and the helper thread the rest."""
+    the frames of windows lo to hi. With two lanes and at least
+    ``SPLIT_MIN_CHUNKS`` chunks the caller runs the first half of the
+    chunks and the helper thread the rest."""
     parts = max(1, math.ceil(n_windows / INFER_CHUNK))  # one empty chunk for B = 0
     q, r = divmod(n_windows, parts)
     edges = [k * q + min(k, r) for k in range(parts + 1)]  # as np.array_split
@@ -472,7 +482,7 @@ def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
             hcat[lo:hi] = _run_bank(model, windows(lo, hi), lane_ws, 1, folded)[0]
 
     mine, helper = range(parts), None
-    if LANES > 1 and parts > 1:
+    if LANES > 1 and parts >= SPLIT_MIN_CHUNKS:
         half = (parts + 1) // 2
         mine = range(half)
         helper = _helper_pool().submit(lane, range(half, parts), ws._helper())

@@ -237,26 +237,55 @@ def test_results_survive_the_next_call_on_the_workspace():
 # lanes
 
 
+def _two_lanes(monkeypatch, split_min_chunks=2):
+    """Two lanes, the helper taking half of any batch of at least
+    ``split_min_chunks`` chunks."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    monkeypatch.setattr(nn, "SPLIT_MIN_CHUNKS", split_min_chunks)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_predictions_equal_on_one_and_two_lanes(activation, monkeypatch):
     """The chunks are cut the same way whatever LANES is, and a window's
     hidden states do not depend on its chunk, so two lanes give the bytes
-    of one, also for a one-window batch and past 2048 windows."""
+    of one, from two chunks up and with the default split, also for a
+    one-window batch and past 2048 windows."""
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
     ws = Workspace()
     for bsz in (1, 2, 64, 65, 129, 901, 3001):
         x, _ = batch(bsz, d=3)
-        preds = []
-        for lanes in (1, 2):
-            monkeypatch.setattr(nn, "LANES", lanes)
-            preds.append(forward_batch(model, x, lookback=LOOKBACK, workspace=ws))
-        assert np.array_equal(*preds), bsz
+        monkeypatch.setattr(nn, "LANES", 1)
+        want = forward_batch(model, x, lookback=LOOKBACK, workspace=ws)
+        for split in (2, nn.SPLIT_MIN_CHUNKS):
+            _two_lanes(monkeypatch, split)
+            assert np.array_equal(forward_batch(model, x, lookback=LOOKBACK, workspace=ws),
+                                  want), (bsz, split)
+
+
+def test_a_batch_below_the_split_runs_on_the_caller_alone(monkeypatch):
+    """Fewer than SPLIT_MIN_CHUNKS chunks never wake the helper; that many
+    give it half of them."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    run_bank = nn._run_bank
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return run_bank(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "_run_bank", spy)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    below = (nn.SPLIT_MIN_CHUNKS - 1) * nn.INFER_CHUNK
+    for bsz, helper_chunks in ((65, 0), (below, 0), (below + 1, nn.SPLIT_MIN_CHUNKS // 2)):
+        threads.clear()
+        forward_batch(model, batch(bsz, d=3)[0], lookback=LOOKBACK)
+        assert sum(t is not threading.current_thread() for t in threads) == helper_chunks, bsz
 
 
 def test_a_dataset_is_gathered_chunk_by_chunk_into_the_same_predictions(monkeypatch):
     """Handed a WindowedDataset, each lane gathers its own chunks; the
     predictions are those of the gathered (B, lookback, D) array."""
-    monkeypatch.setattr(nn, "LANES", 2)
+    _two_lanes(monkeypatch)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((400, 3))
@@ -282,7 +311,7 @@ def _fault_on(monkeypatch, helper: bool):
         done.append(threading.current_thread())
         return run_bank(*args, **kwargs)
 
-    monkeypatch.setattr(nn, "LANES", 2)
+    _two_lanes(monkeypatch)
     monkeypatch.setattr(nn, "_run_bank", faulty)
     return done
 
@@ -327,7 +356,7 @@ def _predict_into(conn, model, x):
 def test_a_forked_child_predicts_the_same_bytes(monkeypatch):
     """A child forked after the helper thread started has no such thread;
     it starts its own instead of waiting on the parent's."""
-    monkeypatch.setattr(nn, "LANES", 2)
+    _two_lanes(monkeypatch)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     x, _ = batch(129, d=3)
     want = forward_batch(model, x, lookback=LOOKBACK).tobytes()
@@ -350,7 +379,7 @@ def test_concurrent_callers_share_the_helper_lane(monkeypatch):
     """Four threads on two cores, switching every microsecond, each run
     batches through forward_batch at once, from before the helper pool
     exists: each gets the predictions it gets alone."""
-    monkeypatch.setattr(nn, "LANES", 2)
+    _two_lanes(monkeypatch)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     inputs = [batch(bsz, d=3)[0] for bsz in (65, 129, 200, 333)]
     want = [forward_batch(model, x, lookback=LOOKBACK) for x in inputs]
@@ -394,9 +423,9 @@ loss, grads = loss_and_grads(model, x, y, lookback=30)
 out.update(np.float64(loss).tobytes())
 for k in sorted(grads):
     out.update(grads[k].tobytes())
-# 351 windows: six chunks, on LANES lanes (at most 2050 windows, where
+# 551 windows: nine chunks, on LANES lanes (at most 2050 windows, where
 # the head's GEMV still agrees across thread counts)
-long = pair_to_sample(gen_dataset(1, 400, (0.1, 0.9), 4)[0], "long")
+long = pair_to_sample(gen_dataset(1, 600, (0.1, 0.9), 4)[0], "long")
 out.update(np.float64(predict_sample(model, long, 50, 1, lookback=30)).tobytes())
 samples = [pair_to_sample(p, f"pair_{i}") for i, p in
            enumerate(gen_dataset(8, 200, (0.1, 0.9), 3))]
