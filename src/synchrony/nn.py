@@ -77,52 +77,47 @@ Results also match between one and two OpenBLAS threads at batch sizes 1,
 15, 64 and 105, but not at 901, where the ``rh`` gradient (a reduction
 over the batch) differs in the last bits with the thread count. A training
 step at B = 64, 6 x 32 LSTMs and T = 30 holds 22 MiB of workspace, 19.9 MiB
-of it the gates and states BPTT reads; projecting all T steps up front
-took 11.25 MiB more.
+of it the gates and states BPTT reads.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
 ``np.array_split`` chunks of at most ``INFER_CHUNK`` = 64 windows and then
 the head once over the whole batch. The workspace so holds one step of one
 chunk whatever B is: 2.0 MiB after a 901-window batch at 6 x 32 LSTMs,
-where projecting each chunk's 30 steps up front held 12 MiB and one pass
-over the batch 177 MiB. A step's arrays so fit a 2 MiB per-core L2, where
-the up-front projection was written once and read back step by step from
-beyond it, and a one-pass step over 901 windows wrote a 5.5 MB
-pre-activation array alone: the gain comes from the working set, not from
-fewer FLOPs (Appleyard et al., arXiv:1604.01946). Measured with one and
-two OpenBLAS threads, a window's final hidden states are bit-identical at
-every batch size >= 2 and every offset in the batch, but not at batch
-size 1, where the recurrent product is a GEMV; ``array_split`` makes a
-one-window chunk only of a one-window batch. The head's output for a
-window does change in the last bit with the batch size (the same six
-windows have equal hidden states at B = 6 and 63, but not equal ``z``),
-so the head is not chunked. The predictions therefore equal those of one
-pass over the whole batch.
+where one pass over the batch would hold 177 MiB. A step's arrays so fit
+a 2 MiB per-core L2, where a one-pass step over 901 windows would write a
+5.5 MB pre-activation array alone: the gain comes from the working set,
+not from fewer FLOPs (Appleyard et al., arXiv:1604.01946). Measured with
+one and two OpenBLAS threads, a window's final hidden states are
+bit-identical at every batch size >= 2 and every offset in the batch, but
+not at batch size 1, where the recurrent product is a GEMV;
+``array_split`` makes a one-window chunk only of a one-window batch. The
+head's output for a window does change in the last bit with the batch
+size (the same six windows have equal hidden states at B = 6 and 63, but
+not equal ``z``), so the head is not chunked. The predictions therefore
+equal those of one pass over the whole batch.
 
 The chunks of one batch are independent, so they run on ``LANES`` threads
-(two where the process may use two CPUs): the caller runs the first half
-of the chunks in its workspace, and one helper thread, started the first
-time a batch has ``SPLIT_MIN_CHUNKS`` = 8 chunks, runs the rest in a
-second workspace that the caller's owns, so ``kfold_cv`` and
-``train_experiment`` reuse it too. The sign-folded weights and the
-broadcast bias are formed once per call, and both lanes read them. NumPy
-releases the GIL inside each GEMM and ufunc, so the lanes overlap; at
-6 x 32 LSTMs a 901-window batch takes ~25% less time on two cores. A
-smaller batch runs on the caller alone: on a 2-vCPU Xeon VM two lanes
-were slower than one at 2 to 5 chunks when another process held the
-second core, and a ``synchrony baseline`` run that woke the helper for
-its two-chunk validation passes ran its training steps up to 44% slower
-afterwards, varying from run to run, while a run that never woke it
-matched one without lanes. Each lane writes only its chunks' rows of the
-final hidden states, and the cut into chunks, the work per chunk and the
-head are those of one lane, so the predictions keep their bytes on one
-lane or two. The caller joins the helper in a ``finally``: an error in
-either lane leaves ``forward_batch``, and no lane writes after it
-returns. A forked child drops the pool it inherits, whose thread it does
-not have, and starts its own. Given a ``WindowedDataset`` instead of an
-array, each lane gathers its own chunks at lookback width, so a
-validation pass or a predicted sample never holds its (B, lookback, D)
-array.
+(two where the process may use two CPUs): a batch of at least
+``SPLIT_MIN_CHUNKS`` = 8 chunks starts one helper thread, which runs the
+second half of the chunks in a fresh workspace while the caller runs the
+first half in its own, and the call joins it before returning. The
+sign-folded weights and the broadcast bias are formed once per call, and
+both lanes read them. NumPy releases the GIL inside each GEMM and ufunc,
+so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~25% less
+time on two cores, of which starting the helper takes ~0.2 ms of
+~125 ms. A smaller batch runs on the caller alone: on a 2-vCPU Xeon VM
+two lanes were slower than one at 2 to 5 chunks when another process
+held the second core, and a ``synchrony baseline`` run that gave its
+two-chunk validation passes to a helper ran its training steps up to 44%
+slower afterwards, varying from run to run. Each lane writes only its
+chunks' rows of the final hidden states, and the cut into chunks, the
+work per chunk and the head are those of one lane, so the predictions
+keep their bytes on one lane or two. An error in either lane leaves
+``forward_batch`` only after the other lane has finished, so no lane
+writes after it returns, and no thread outlives the call. Given a
+``WindowedDataset`` instead of an array, each lane gathers its own chunks
+at lookback width, so a validation pass or a predicted sample never
+holds its (B, lookback, D) array.
 """
 
 from __future__ import annotations
@@ -131,7 +126,6 @@ import base64
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +192,7 @@ class SynchronyModel:
             raise ValueError("head dimension must be n_lstms * hidden_size")
         if self.cell_activation not in ("tanh", "relu"):
             raise ValueError("cell_activation must be 'tanh' or 'relu'")
-        for arr in (self.wx, self.rh, self.b, self.head_w):
+        for arr in (self.wx, self.rh, self.b, self.head_w, self.head_b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite parameters")
 
@@ -264,6 +258,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, not {self.epochs!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
+        if self.cell_activation not in ("tanh", "relu"):
+            raise ValueError("cell_activation must be 'tanh' or 'relu'")
 
 
 def init_model(
@@ -330,14 +326,6 @@ class Workspace:
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self._helper_ws: Workspace | None = None
-
-    def _helper(self) -> "Workspace":
-        """The helper lane's workspace (see ``forward_batch``), made on
-        first use and kept with this one."""
-        if self._helper_ws is None:
-            self._helper_ws = Workspace()
-        return self._helper_ws
 
     def _get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -438,38 +426,16 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     return hfinal, {"gates": gates, "c": cs, "h": hs, "tc": tcs}
 
 
-_pool = None  # the helper lane's thread, started by the first batch that needs it
-_pool_lock = threading.Lock()
-
-
-def _helper_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so importing the package loads and starts nothing
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(LANES - 1, thread_name_prefix="synchrony-lane")
-        return _pool
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has no helper thread to wait on, and its copy of the
-    # lock may be held by a thread it does not have; it starts anew
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
                     ws: Workspace) -> np.ndarray:
     """The bank's final hidden states, (B, n, H), over ``np.array_split``
     chunks of at most ``INFER_CHUNK`` windows; ``windows(lo, hi)`` gives
     the frames of windows lo to hi. With two lanes and at least
     ``SPLIT_MIN_CHUNKS`` chunks the caller runs the first half of the
-    chunks and the helper thread the rest."""
+    chunks and a helper thread, started for this batch in a fresh
+    workspace, the rest. Leaving the ``with`` joins the helper, also when
+    the caller's lane raised, so no lane outlives or writes after the
+    call."""
     parts = max(1, math.ceil(n_windows / INFER_CHUNK))  # one empty chunk for B = 0
     q, r = divmod(n_windows, parts)
     edges = [k * q + min(k, r) for k in range(parts + 1)]  # as np.array_split
@@ -481,16 +447,17 @@ def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
             lo, hi = edges[k], edges[k + 1]
             hcat[lo:hi] = _run_bank(model, windows(lo, hi), lane_ws, 1, folded)[0]
 
-    mine, helper = range(parts), None
-    if LANES > 1 and parts >= SPLIT_MIN_CHUNKS:
-        half = (parts + 1) // 2
-        mine = range(half)
-        helper = _helper_pool().submit(lane, range(half, parts), ws._helper())
-    try:
-        lane(mine, ws)
-    finally:
-        if helper is not None:  # joined even when this lane raised
-            helper.result()
+    if LANES < 2 or parts < SPLIT_MIN_CHUNKS:
+        lane(range(parts), ws)
+        return hcat
+    # imported here, so importing the package starts nothing
+    from concurrent.futures import ThreadPoolExecutor
+
+    half = (parts + 1) // 2
+    with ThreadPoolExecutor(1, thread_name_prefix="synchrony-lane") as pool:
+        helper = pool.submit(lane, range(half, parts), Workspace())
+        lane(range(half), ws)
+        helper.result()
     return hcat
 
 

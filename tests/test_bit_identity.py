@@ -282,6 +282,27 @@ def test_a_batch_below_the_split_runs_on_the_caller_alone(monkeypatch):
         assert sum(t is not threading.current_thread() for t in threads) == helper_chunks, bsz
 
 
+def test_no_thread_outlives_a_split_batch(monkeypatch):
+    """The helper lives for one batch: forward_batch joins it before it
+    returns, so no thread is left behind."""
+    monkeypatch.setattr(nn, "LANES", 2)
+    run_bank = nn._run_bank
+    lanes = set()
+
+    def spy(*args, **kwargs):
+        lanes.add(threading.current_thread().name)
+        return run_bank(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "_run_bank", spy)
+    model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
+    x, _ = batch(nn.SPLIT_MIN_CHUNKS * nn.INFER_CHUNK, d=3)
+    before = threading.active_count()
+    forward_batch(model, x, lookback=LOOKBACK)
+    assert threading.active_count() == before
+    assert len(lanes) == 2  # the batch did run on a helper
+    assert not [t for t in threading.enumerate() if t.name.startswith("synchrony-lane")]
+
+
 def test_a_dataset_is_gathered_chunk_by_chunk_into_the_same_predictions(monkeypatch):
     """Handed a WindowedDataset, each lane gathers its own chunks; the
     predictions are those of the gathered (B, lookback, D) array."""
@@ -319,7 +340,7 @@ def _fault_on(monkeypatch, helper: bool):
 @pytest.mark.parametrize("helper", [True, False])
 def test_an_error_in_either_lane_leaves_forward_batch(monkeypatch, helper):
     """The error propagates, and the other lane has finished when it does:
-    the join sits in a ``finally``."""
+    leaving the executor's ``with`` joins the helper."""
     done = _fault_on(monkeypatch, helper)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     x, _ = batch(4 * 64, d=3)
@@ -354,8 +375,8 @@ def _predict_into(conn, model, x):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method")
 def test_a_forked_child_predicts_the_same_bytes(monkeypatch):
-    """A child forked after the helper thread started has no such thread;
-    it starts its own instead of waiting on the parent's."""
+    """A child forked after the parent ran a split batch starts its own
+    helper for its batch and predicts what the parent did."""
     _two_lanes(monkeypatch)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     x, _ = batch(129, d=3)
@@ -375,15 +396,14 @@ def test_a_forked_child_predicts_the_same_bytes(monkeypatch):
             child.join()
 
 
-def test_concurrent_callers_share_the_helper_lane(monkeypatch):
+def test_concurrent_callers_each_get_their_own_predictions(monkeypatch):
     """Four threads on two cores, switching every microsecond, each run
-    batches through forward_batch at once, from before the helper pool
-    exists: each gets the predictions it gets alone."""
+    batches through forward_batch at once, each split batch with its own
+    helper: each gets the predictions it gets alone."""
     _two_lanes(monkeypatch)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
     inputs = [batch(bsz, d=3)[0] for bsz in (65, 129, 200, 333)]
     want = [forward_batch(model, x, lookback=LOOKBACK) for x in inputs]
-    nn._drop_pool()
     got = [[] for _ in inputs]
 
     def caller(k):

@@ -108,6 +108,13 @@ def test_constant_head_bias():
     np.testing.assert_array_equal(forward_batch(m, x, lookback=5), 5.0)
 
 
+@pytest.mark.parametrize("head_b", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_head_bias_is_rejected(head_b):
+    m = zero_model()
+    with pytest.raises(ValueError, match="non-finite parameters"):
+        SynchronyModel(m.wx, m.rh, m.b, m.head_w, head_b)
+
+
 def test_forward_depends_on_input():
     m = init_model(2, n_lstms=2, hidden_size=3, seed=1)
     x, _ = random_batch(8, seed=3)
@@ -184,20 +191,30 @@ def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
     at 6 x 32 LSTMs for the caller's, which also holds the bias both
     lanes read) at any batch size."""
     monkeypatch.setattr(nn, "LANES", 2)
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
     m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
     x, _ = random_batch(5000, w=30, seed=1)
 
     ws = Workspace()
+    monkeypatch.setattr(nn, "Workspace", Recorded)
     forward_batch(m, x[:901], lookback=30, workspace=ws)
-    after_901, helper_after_901 = held(ws), held(ws._helper())
+    (helper_901,) = made
+    after_901 = held(ws)
     assert after_901 <= 2.5 * 2**20
-    assert 0 < helper_after_901 <= 2.5 * 2**20
+    assert 0 < held(helper_901) <= 2.5 * 2**20
     forward_batch(m, x, lookback=30, workspace=ws)
+    _, helper_5000 = made  # each split batch has a fresh helper workspace
     one_chunk = Workspace()
     forward_batch(m, x[:INFER_CHUNK], lookback=30, workspace=one_chunk)
     # 901 windows split into chunks of 61 and 60, 5000 into 64 and 63
     assert after_901 <= held(ws) == held(one_chunk) <= 2.5 * 2**20
-    assert helper_after_901 <= held(ws._helper()) <= 2.5 * 2**20
+    assert held(helper_901) <= held(helper_5000) <= 2.5 * 2**20
 
 
 def test_training_workspace_holds_no_projection_of_every_step():
@@ -314,6 +331,11 @@ def test_train_config_rejects_values_that_break_training(field, value):
     assert str(info.value).endswith(f", not {value!r}")
 
 
+def test_train_config_rejects_an_unknown_cell_activation():
+    with pytest.raises(ValueError, match="cell_activation must be 'tanh' or 'relu'"):
+        TrainConfig(cell_activation="sigmoid")
+
+
 def test_infinite_clip_norm_never_clips():
     m = zero_model()
     grads = {k: np.zeros_like(v) for k, v in m.params().items()}
@@ -397,6 +419,20 @@ def test_load_version_mismatch(tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("head_b", [float("nan"), float("inf")])
+def test_load_rejects_a_non_finite_head_bias(tmp_path, head_b):
+    """Python's json reads NaN and Infinity, so the loaded model checks them."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(init_model(2, n_lstms=1, hidden_size=2, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["head_b"] = head_b
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="non-finite parameters"):
         load_model(path)
 
 
