@@ -225,14 +225,13 @@ def predict_sample(
 ) -> float:
     """Window-level predictions, each from the last ``lookback`` frames of
     its window, aggregated to one score for the sample."""
+    aggregate = {"mean": np.mean, "median": np.median}.get(aggregation)
+    if aggregate is None:
+        raise ValueError(f"unknown aggregation: {aggregation!r}")
     preds = forward_batch(
         model, build_windowed_dataset([sample], window_length, stride, normalize=normalize),
         lookback=lookback)
-    if aggregation == "mean":
-        return float(np.mean(preds))
-    if aggregation == "median":
-        return float(np.median(preds))
-    raise ValueError(f"unknown aggregation: {aggregation!r}")
+    return float(aggregate(preds))
 
 
 def _predict(model: SynchronyModel, sample: InteractionSample,

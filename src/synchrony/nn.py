@@ -29,8 +29,9 @@ and a batch of B, the forward cache (``want_cache=True``) holds:
 
 - ``x``: (B, T, D), the frames the step consumed (a view of the input,
   which ``windows_to_batch`` gathers at lookback width for training);
-- ``gates``: (4, T, n, B, H), post-activations i, f, g, o, one
-  contiguous array per gate and step;
+- ``gates``: (4, T, n, B, H), post-activations i, f, o, g (the three
+  sigmoids first; the weights keep the order i, f, g, o), one contiguous
+  array per gate and step;
 - ``c``, ``h``: (T + 1, n, B, H), cell and hidden states; index 0 is the
   zero initial state, index t + 1 the state after step t;
 - ``tc``: (T, n, B, H), act(c) per step;
@@ -61,14 +62,19 @@ operands and the order of every operation:
 - the rows of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
   multiplied by -1 once per call. That is exact, and rounding is
   symmetric in sign, so those gates' pre-activations come out as exactly
-  -a and ``_sigmoid_of_negated`` forms 1 / (1 + exp(-a)) without a
-  negation pass (only a zero may differ in sign, and exp(-0) = exp(0));
+  -a and each step forms 1 / (1 + exp(-a)) without a negation pass (only
+  a zero may differ in sign, and exp(-0) = exp(0));
 - the recurrent GEMM is h @ rh^T with shape (n, B, 4H); a gate-major
   rh @ h^T gives different bits;
 - the pre-activation is summed as (x wx^T + h rh^T) + b, with b broadcast
   to (n, B, 4H) once per call, so each step's bias add is contiguous;
-- sigmoid and tanh read the same strided slices of the pre-activation,
-  and every elementwise product is formed in the same order;
+- exp and the cell activation read the gates' strided columns of the
+  pre-activation through one (4, n, B, H) view, two exp calls (i and f
+  together, then o) and the cell activation per step; one add and one
+  divide then finish all three sigmoids over their block of ``gates``
+  (contiguous without a cache). Each element so goes through the same
+  operations as in the oracle, and every elementwise product is formed in
+  the same order;
 - the backward pass builds each gate's gradient in contiguous scratch and
   writes it into its slice of one (n, B, 4H) array, which the gradient
   GEMMs and the batch sum read exactly as the concatenated array before.
@@ -80,44 +86,54 @@ step at B = 64, 6 x 32 LSTMs and T = 30 holds 22 MiB of workspace, 19.9 MiB
 of it the gates and states BPTT reads.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
-``np.array_split`` chunks of at most ``INFER_CHUNK`` = 64 windows and then
-the head once over the whole batch. The workspace so holds one step of one
-chunk whatever B is: 2.0 MiB after a 901-window batch at 6 x 32 LSTMs,
-where one pass over the batch would hold 177 MiB. A step's arrays so fit
-a 2 MiB per-core L2, where a one-pass step over 901 windows would write a
-5.5 MB pre-activation array alone: the gain comes from the working set,
-not from fewer FLOPs (Appleyard et al., arXiv:1604.01946). Measured with
-one and two OpenBLAS threads, a window's final hidden states are
-bit-identical at every batch size >= 2 and every offset in the batch, but
-not at batch size 1, where the recurrent product is a GEMV;
-``array_split`` makes a one-window chunk only of a one-window batch. The
-head's output for a window does change in the last bit with the batch
-size (the same six windows have equal hidden states at B = 6 and 63, but
-not equal ``z``), so the head is not chunked. The predictions therefore
-equal those of one pass over the whole batch.
+``np.array_split`` chunks of at most ``INFER_CHUNK`` = 128 windows and
+then the head once over the whole batch. The workspace so holds one step
+of one chunk whatever B is: 4.2 MiB for a full chunk at 6 x 32 LSTMs,
+3.7 MiB after a 901-window batch (chunks of 112 and 113), where one pass
+over the batch would hold 177 MiB. On one lane the chunk size hardly
+matters: at 6 x 32 LSTMs a 901-window batch took about as long with
+chunks of 31 windows as with 226, and longer only with 451. On two lanes
+it does: they took more than twice as long with 16-window chunks as with
+113-window ones, and were fastest with chunks of 90 to 226 windows
+(``BENCH_17.json``, ``micro``). Each NumPy call releases the GIL and
+takes it back, and a lane that takes it back while the other holds it
+waits to be woken, so the lanes' speed-up is set by the calls per window,
+not by the FLOPs: fewer, larger chunks and the grouped sigmoid gates help
+them (Appleyard et al., arXiv:1604.01946, give the same advice for RNN
+kernels). Measured with one and two OpenBLAS
+threads, a window's final hidden states are bit-identical at every batch
+size >= 2 and every offset in the batch, but not at batch size 1, where
+the recurrent product is a GEMV; ``array_split`` makes a one-window chunk
+only of a one-window batch. The head's output for a window does change
+in the last bit with the batch size (the same six windows have equal
+hidden states at B = 6 and 63, but not equal ``z``), so the head is not
+chunked. The predictions therefore equal those of one pass over the whole
+batch.
 
 The chunks of one batch are independent, so they run on ``LANES`` threads
 (two where the process may use two CPUs): a batch of at least
-``SPLIT_MIN_CHUNKS`` = 8 chunks starts one helper thread, which runs the
-second half of the chunks in a fresh workspace while the caller runs the
-first half in its own, and the call joins it before returning. The
-sign-folded weights and the broadcast bias are formed once per call, and
-both lanes read them. NumPy releases the GIL inside each GEMM and ufunc,
-so the lanes overlap; at 6 x 32 LSTMs a 901-window batch takes ~25% less
-time on two cores, of which starting the helper takes ~0.2 ms of
-~125 ms. A smaller batch runs on the caller alone: on a 2-vCPU Xeon VM
-two lanes were slower than one at 2 to 5 chunks when another process
-held the second core, and a ``synchrony baseline`` run that gave its
-two-chunk validation passes to a helper ran its training steps up to 44%
-slower afterwards, varying from run to run. Each lane writes only its
-chunks' rows of the final hidden states, and the cut into chunks, the
-work per chunk and the head are those of one lane, so the predictions
-keep their bytes on one lane or two. An error in either lane leaves
-``forward_batch`` only after the other lane has finished, so no lane
-writes after it returns, and no thread outlives the call. Given a
-``WindowedDataset`` instead of an array, each lane gathers its own chunks
-at lookback width, so a validation pass or a predicted sample never
-holds its (B, lookback, D) array.
+``SPLIT_MIN_CHUNKS`` = 6 chunks (641 windows or more) starts one helper
+thread, which runs the second half of the chunks in a fresh workspace
+(3.0 MiB after a 901-window batch) while the caller runs the first half
+in its own, and the call joins it before returning. The sign-folded
+weights and the broadcast bias are formed once per call, and both lanes
+read them. NumPy releases the GIL inside each GEMM and ufunc, so the
+lanes overlap; starting the helper takes ~0.2 ms. A smaller batch runs
+on the caller alone: on a 2-vCPU Xeon VM, with a spinning process on the
+second core, two lanes were faster than one in 1 to 7 of 15 calls at 2 to
+5 chunks of 128 windows, and in 17 of 30 at 6 chunks, 22 of 30 at 7 and
+26 of 30 at 8 (with the second core idle they won from 2 chunks on); a
+``synchrony baseline`` run that gave its two-chunk validation passes to a
+helper ran its training steps up to 44% slower afterwards, varying from
+run to run. Each lane writes only its chunks' rows of the final hidden
+states, and the cut into chunks, the work per chunk and the head are
+those of one lane, so the predictions keep their bytes on one lane or
+two. An error in either lane leaves ``forward_batch`` only after the
+other lane has finished, so no lane writes after it returns, and no
+thread outlives the call. Given a ``WindowedDataset`` instead of an
+array, each lane gathers its own chunks at lookback width, so a
+validation pass or a predicted sample never holds its (B, lookback, D)
+array.
 """
 
 from __future__ import annotations
@@ -134,13 +150,13 @@ from .core import WindowedDataset, window_view
 
 DEFAULT_LOOKBACK = 30
 WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
-INFER_CHUNK = 64  # windows per bank pass without a cache
+INFER_CHUNK = 128  # windows per bank pass without a cache
 # threads that share one batch's chunks: the caller and, where the process
 # may use two CPUs, one helper
 LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # chunks (at least 2) a batch needs before the helper takes half of them
-SPLIT_MIN_CHUNKS = 8
+SPLIT_MIN_CHUNKS = 6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -148,19 +164,6 @@ ADAM_EPS = 1e-8
 
 class ModelFormatError(ValueError):
     """Raised when a model file is malformed, truncated, or inconsistent."""
-
-
-def _sigmoid_of_negated(neg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sigmoid(a) = 1 / (1 + exp(neg)) from the negated pre-activation
-    neg = -a, written into ``out``.
-
-    exp overflows for large neg and the result rounds to exactly 0, the
-    correctly rounded sigmoid value; callers run it under
-    ``np.errstate(over="ignore")``.
-    """
-    np.exp(neg, out=out)
-    np.add(1.0, out, out=out)
-    return np.divide(1.0, out, out=out)
 
 
 def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -392,9 +395,12 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     xw = ws._get("xw", (n, span * bsz, 4 * hh))
     first = -span  # first step in xw
 
-    # internal layout (n_lstms, batch, ...) so each step is a batched GEMM
+    # internal layout (n_lstms, batch, ...) so each step is a batched GEMM;
+    # a_gate is the (4, n, B, H) gate-major view of the weights' i, f, g, o
     a = ws._get("a", (n, bsz, 4 * hh))
-    gates = ws._get("gates", (4, keep, n, bsz, hh))  # i, f, g, o
+    a_gate = a.reshape(n, bsz, 4, hh).transpose(2, 0, 1, 3)
+    # sigmoid gates first, so one add and one divide cover all three
+    gates = ws._get("gates", (4, keep, n, bsz, hh))  # i, f, o, g
     cs = ws._get("c", (keep + 1, n, bsz, hh))
     hs = ws._get("h", (keep + 1, n, bsz, hh))
     tcs = ws._get("tc", (keep, n, bsz, hh))
@@ -412,11 +418,16 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
             np.matmul(hs[prev], rh_t, out=a)
             np.add(xw[:, row : row + bsz], a, out=a)
             np.add(a, bias, out=a)
-            i, f, g, o = gates[:, s]
-            _sigmoid_of_negated(a[..., :hh], out=i)
-            _sigmoid_of_negated(a[..., hh : 2 * hh], out=f)
-            act(a[..., 2 * hh : 3 * hh], out=g)
-            _sigmoid_of_negated(a[..., 3 * hh :], out=o)
+            # sigmoid(a) = 1 / (1 + exp(-a)) of i, f and o from their
+            # negated pre-activations; where exp overflows it is exactly 0
+            step = gates[:, s]
+            i, f, o, g = step
+            sig = step[:3]
+            np.exp(a_gate[:2], out=step[:2])
+            np.exp(a_gate[3], out=o)
+            np.add(1.0, sig, out=sig)
+            np.divide(1.0, sig, out=sig)
+            act(a_gate[2], out=g)
             np.multiply(f, cs[prev], out=cs[cur])
             np.multiply(i, g, out=ig)
             np.add(cs[cur], ig, out=cs[cur])
@@ -568,7 +579,7 @@ def loss_and_grads(
     xs, gates, cs, hs, tcs = (cache[k] for k in ("x", "gates", "c", "h", "tc"))
     name = model.cell_activation
     for ti in range(xs.shape[1] - 1, -1, -1):
-        i, f, g, o = gates[:, ti]
+        i, f, o, g = gates[:, ti]
         # each gate's gradient is formed in contiguous scratch and written
         # to its strided slice of da once; strided operands cost ~2x
         # da_o = (dh * act(c)) * o * (1 - o)

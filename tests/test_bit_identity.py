@@ -200,16 +200,17 @@ def test_step_bit_identical_where_the_sigmoid_is_exactly_zero(activation):
     x, y = batch(15, d=3)
     x *= 500.0
     _, cache = forward_batch(model, x, lookback=LOOKBACK, want_cache=True)
-    assert np.any(cache["gates"][[0, 1, 3]] == 0.0)
+    assert np.any(cache["gates"][:3] == 0.0)
     assert_step_identical(model, x, y, None)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("bsz", (65, 129, 1025))
+@pytest.mark.parametrize("bsz", (nn.INFER_CHUNK // 2 + 1, nn.INFER_CHUNK + 1,
+                                 8 * nn.INFER_CHUNK + 1))
 def test_chunked_inference_bit_identical(activation, bsz):
     """Without a cache the bank runs in chunks of at most INFER_CHUNK
-    windows: uneven chunks, and one window past a multiple of 64 and of
-    1024, must still give the one-batch predictions."""
+    windows: part of one chunk, and uneven chunks one window past one and
+    past eight full chunks, must still give the one-batch predictions."""
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
     x, _ = batch(bsz, d=3)
     pred = forward_batch(model, x, lookback=LOOKBACK)
@@ -343,7 +344,7 @@ def test_an_error_in_either_lane_leaves_forward_batch(monkeypatch, helper):
     leaving the executor's ``with`` joins the helper."""
     done = _fault_on(monkeypatch, helper)
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4)
-    x, _ = batch(4 * 64, d=3)
+    x, _ = batch(4 * nn.INFER_CHUNK, d=3)
     with pytest.raises(FloatingPointError, match="fault in a lane"):
         forward_batch(model, x, lookback=LOOKBACK)
     ran = len(done)
@@ -351,7 +352,7 @@ def test_an_error_in_either_lane_leaves_forward_batch(monkeypatch, helper):
     assert ran == len(done) == 2  # the two chunks of the lane that did not fail
     # one chunk runs on the calling thread alone
     if helper:
-        forward_batch(model, x[:64], lookback=LOOKBACK)
+        forward_batch(model, x[:nn.INFER_CHUNK], lookback=LOOKBACK)
 
 
 def test_an_error_in_the_helper_lane_exits_2_with_no_outputs(tmp_path, monkeypatch, capsys):
@@ -360,7 +361,7 @@ def test_an_error_in_the_helper_lane_exits_2_with_no_outputs(tmp_path, monkeypat
                  "--seed", "3", "--out", str(data)]) == 0
     _fault_on(monkeypatch, helper=True)
     out = tmp_path / "run"
-    # the validation pair's 181 windows make three chunks
+    # the validation pair's 181 windows make two chunks
     assert main(["train", "--data", str(data), "--out", str(out), "--window", "20",
                  "--stride", "1", "--epochs", "1", "--hidden-size", "4", "--lstms", "2",
                  "--lookback", "5"]) == 2
@@ -433,7 +434,8 @@ import hashlib, sys
 import numpy as np
 from synchrony.experiments import ExperimentConfig, kfold_cv, pair_to_sample, predict_sample
 from synchrony.generate import gen_dataset
-from synchrony.nn import TrainConfig, init_model, loss_and_grads
+from synchrony.nn import (INFER_CHUNK, SPLIT_MIN_CHUNKS, TrainConfig, init_model,
+                          loss_and_grads)
 
 out = hashlib.sha256()
 rng = np.random.default_rng(0)
@@ -443,9 +445,12 @@ loss, grads = loss_and_grads(model, x, y, lookback=30)
 out.update(np.float64(loss).tobytes())
 for k in sorted(grads):
     out.update(grads[k].tobytes())
-# 551 windows: nine chunks, on LANES lanes (at most 2050 windows, where
-# the head's GEMV still agrees across thread counts)
-long = pair_to_sample(gen_dataset(1, 600, (0.1, 0.9), 4)[0], "long")
+# one window past SPLIT_MIN_CHUNKS full chunks, so a split batch on LANES
+# lanes, and at most 2050 windows, where the head's GEMV still agrees
+# across thread counts
+n_long = SPLIT_MIN_CHUNKS * INFER_CHUNK + 1
+assert n_long <= 2050, n_long
+long = pair_to_sample(gen_dataset(1, n_long + 49, (0.1, 0.9), 4)[0], "long")
 out.update(np.float64(predict_sample(model, long, 50, 1, lookback=30)).tobytes())
 samples = [pair_to_sample(p, f"pair_{i}") for i, p in
            enumerate(gen_dataset(8, 200, (0.1, 0.9), 3))]

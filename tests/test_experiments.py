@@ -256,6 +256,17 @@ def test_aggregation_rules(monkeypatch):
     assert ex.predict_sample(m, s, 10, 10, aggregation="median", lookback=5) == 2.0
 
 
+def test_an_unknown_aggregation_fails_before_the_bank_runs(monkeypatch):
+    import synchrony.experiments as ex
+
+    calls = []
+    monkeypatch.setattr(ex, "forward_batch", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="unknown aggregation: 'max'"):
+        ex.predict_sample(object(), random_sample(t=30), 10, 10, aggregation="max",
+                          lookback=5)
+    assert calls == []
+
+
 # k-fold cross-validation
 
 

@@ -187,7 +187,7 @@ def held(ws):
 def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
     """Without a cache each lane runs one chunk of at most INFER_CHUNK
     windows at a time and projects one step's frames at a time, so each
-    lane's workspace holds what one step of one such chunk needs (2.0 MiB
+    lane's workspace holds what one step of one such chunk needs (4.2 MiB
     at 6 x 32 LSTMs for the caller's, which also holds the bias both
     lanes read) at any batch size."""
     monkeypatch.setattr(nn, "LANES", 2)
@@ -198,23 +198,29 @@ def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
             super().__init__()
             made.append(self)
 
-    m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
-    x, _ = random_batch(5000, w=30, seed=1)
+    n, hh, t, d = 6, 32, 30, 2
+    m = init_model(d, n_lstms=n, hidden_size=hh, seed=0)
+    x, _ = random_batch(40 * INFER_CHUNK, w=t, seed=1)
+    # one step of one chunk: its frames (T, B, D); the projection, the
+    # pre-activation and the bias, (n, B, 4H) each; the four gates, two
+    # c, two h, act(c) and i * g, (n, B, H) each
+    per_chunk = 8 * INFER_CHUNK * (t * d + n * (3 * 4 * hh + 10 * hh))
 
     ws = Workspace()
     monkeypatch.setattr(nn, "Workspace", Recorded)
-    forward_batch(m, x[:901], lookback=30, workspace=ws)
+    forward_batch(m, x[:901], lookback=t, workspace=ws)
     (helper_901,) = made
     after_901 = held(ws)
-    assert after_901 <= 2.5 * 2**20
-    assert 0 < held(helper_901) <= 2.5 * 2**20
-    forward_batch(m, x, lookback=30, workspace=ws)
-    _, helper_5000 = made  # each split batch has a fresh helper workspace
+    assert after_901 <= per_chunk
+    assert 0 < held(helper_901) <= per_chunk
+    forward_batch(m, x, lookback=t, workspace=ws)
+    _, helper_big = made  # each split batch has a fresh helper workspace
     one_chunk = Workspace()
-    forward_batch(m, x[:INFER_CHUNK], lookback=30, workspace=one_chunk)
-    # 901 windows split into chunks of 61 and 60, 5000 into 64 and 63
-    assert after_901 <= held(ws) == held(one_chunk) <= 2.5 * 2**20
-    assert held(helper_901) <= held(helper_5000) <= 2.5 * 2**20
+    forward_batch(m, x[:INFER_CHUNK], lookback=t, workspace=one_chunk)
+    # 901 windows split into chunks of 113 and 112, 40 * INFER_CHUNK into
+    # full chunks
+    assert after_901 <= held(ws) == held(one_chunk) <= per_chunk
+    assert held(helper_901) <= held(helper_big) <= per_chunk
 
 
 def test_training_workspace_holds_no_projection_of_every_step():
