@@ -23,10 +23,13 @@ equivalent CouplingSpec, so drawing many pairs from one spec factors its
 spectrum once (as in circulant embedding, Dietrich & Newsam 1997). The
 spec's covariance arrays are read-only copies, so the cache cannot go
 stale. Per pair, the two drivers are drawn as one (2, len) array and go
-through one forward and one inverse FFT along the last axis. The bytes are
-those of the per-call, per-driver form: the generator fills the (2, len)
-draw in the order of two consecutive len-draws, each FFT row is computed
-as a separate transform, and every product keeps its operand order.
+through one forward and one inverse FFT along the last axis, and the
+mixing is done in place in the (2, len) buffer that goes to the inverse
+FFT, overwriting the pair's own FFT of its second driver, so a pair
+allocates no temporary it does not keep. The bytes are those of the
+per-call, per-driver form: the generator fills the (2, len) draw in the
+order of two consecutive len-draws, each FFT row is computed as a
+separate transform, and every product and sum keeps its operand order.
 
 Synthetic couplings, of pairs and of latent-driver groups, are drawn from
 the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
@@ -34,6 +37,7 @@ the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -74,6 +78,8 @@ class CouplingSpec:
     delay: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.length, numbers.Integral):
+            raise ValueError("length must be an integer")
         if self.length < 2:
             raise ValueError("length must be >= 2")
         for name in ("cxx", "cyy", "cxy"):
@@ -133,6 +139,11 @@ class ScalarCovSpec:
     length: int
 
     def __post_init__(self):
+        for name in ("phi11", "phi22", "phi12"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not isinstance(self.length, numbers.Integral):
+            raise ValueError("length must be an integer")
         if self.phi11 <= 0 or self.phi22 <= 0:
             raise ValueError("phi11 and phi22 must be positive")
         if abs(self.phi12) > np.sqrt(self.phi11 * self.phi22) + COHERENCE_TOL:
@@ -182,8 +193,11 @@ def spectral_pair_gen(
     fu, fv = np.fft.fft(rng.standard_normal((2, n)))
 
     mixed = np.empty((2, n), dtype=np.complex128)
-    mixed[0] = sqrt_sxx * (cos_alpha * fu + sin_alpha * fv)
-    mixed[1] = sqrt_syy * fu
+    np.multiply(cos_alpha, fu, out=mixed[0])
+    np.multiply(sin_alpha, fv, out=fv)
+    np.add(mixed[0], fv, out=mixed[0])
+    np.multiply(sqrt_sxx, mixed[0], out=mixed[0])
+    np.multiply(sqrt_syy, fu, out=mixed[1])
     xr, yr = np.fft.ifft(mixed).real
 
     d = spec.delay
@@ -239,17 +253,32 @@ def empirical_cross_cov(xs: Sequence[TimeSeries], ys: Sequence[TimeSeries]) -> f
     Means are removed globally over the whole ensemble (not per pair), so
     the estimator is unbiased up to O(1/(n_pairs * length)) and usable as
     a Monte-Carlo oracle for the generator.
+
+    It holds one (N, T) float64 array, plus one block of at most 64 rows:
+    the x mean is taken from the stacked x, the stacked y overwrites it and
+    is centred in place, and each block of centred x rows is multiplied
+    into it. The product stays one contiguous (N, T) array because
+    ``mean`` sums a contiguous array pairwise over all of its elements;
+    another layout or a split sum would change the result's bits.
     """
     if len(xs) != len(ys) or len(xs) == 0:
         raise ValueError("need equal non-zero numbers of x and y series")
     lengths = {len(s) for s in xs} | {len(s) for s in ys}
     if len(lengths) != 1:
         raise ValueError("mismatched lengths")
-    xmat = np.stack([s.values for s in xs])
-    ymat = np.stack([s.values for s in ys])
-    xmat = xmat - xmat.mean()
-    ymat = ymat - ymat.mean()
-    return float((xmat * ymat).mean())
+    buf = np.stack([s.values for s in xs])
+    mx = buf.mean()
+    np.stack([s.values for s in ys], out=buf)
+    buf -= buf.mean()
+    step = 64  # rows per block
+    block = np.empty((min(len(xs), step), buf.shape[1]))
+    for lo in range(0, len(xs), step):
+        rows = buf[lo:lo + step]
+        xc = block[: len(rows)]
+        np.stack([s.values for s in xs[lo:lo + step]], out=xc)
+        xc -= mx
+        np.multiply(xc, rows, out=rows)
+    return float(buf.mean())
 
 
 def squared_exp_cov(length: int) -> np.ndarray:

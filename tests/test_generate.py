@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,29 @@ def test_scalar_spec_rejects_invalid_matrix():
         ScalarCovSpec(1.0, 1.0, 1.5, 100)
     with pytest.raises(ValueError):
         ScalarCovSpec(-1.0, 1.0, 0.0, 100)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phi12", np.nan),
+    ("phi11", np.inf),
+    ("phi11", np.nan),
+    ("phi22", -np.inf),
+    ("length", 100.5),
+    ("length", 100.0),
+])
+def test_scalar_spec_rejects_bad_fields_up_front(field, value):
+    """Bad fields are rejected when the spec is made, naming the field,
+    not at its first draw."""
+    fields = {"phi11": 1.0, "phi22": 1.0, "phi12": 0.5, "length": 100}
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ScalarCovSpec(**fields)
+
+
+def test_coupling_spec_rejects_a_non_integer_length():
+    cov = squared_exp_cov(100)
+    with pytest.raises(ValueError, match="^length must be an integer"):
+        CouplingSpec(100.0, cov, cov, 0.5 * cov)
 
 
 def test_coupling_spec_rejects_bad_delay():
@@ -284,6 +308,48 @@ def test_cross_cov_independent_noise_bound():
     assert abs(empirical_cross_cov(xs, ys)) < 3.0 / np.sqrt(10**5)
 
 
+def _five_array_cross_cov(xs, ys):
+    """The estimator as first written, holding five (N, T) arrays; its
+    float is the one ``empirical_cross_cov`` must return."""
+    xmat = np.stack([s.values for s in xs])
+    ymat = np.stack([s.values for s in ys])
+    xmat = xmat - xmat.mean()
+    ymat = ymat - ymat.mean()
+    return float((xmat * ymat).mean())
+
+
+def _offset_ensemble(n, length, seed):
+    from synchrony.core import TimeSeries
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, length)) + 0.3
+    y = 0.6 * x + rng.standard_normal((n, length)) - 1.7
+    return [TimeSeries(r) for r in x], [TimeSeries(r) for r in y]
+
+
+@pytest.mark.parametrize("length", [2, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 500])
+def test_cross_cov_keeps_the_five_array_bits(n, length):
+    xs, ys = _offset_ensemble(n, length, seed=n * 1000 + length)
+    assert empirical_cross_cov(xs, ys) == _five_array_cross_cov(xs, ys)
+
+
+def test_cross_cov_holds_one_ensemble_array():
+    """At N = 500, T = 1000 the traced peak is one (N, T) float64 array
+    plus one 64-row block and a small slack; the five-array form peaks at
+    three (N, T) arrays."""
+    n, length = 500, 1000
+    xs, ys = _offset_ensemble(n, length, seed=8)
+    one_array, block, slack = n * length * 8, 64 * length * 8, 64 * 1024
+    tracemalloc.start()
+    try:
+        empirical_cross_cov(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_array + block + slack
+
+
 def test_cross_cov_rejects_mismatched_lengths():
     from synchrony.core import TimeSeries
 
@@ -379,6 +445,23 @@ def test_reused_scalar_spec_keeps_its_bytes():
                           for s in seeds])
     assert reused == fresh == (
         "b06546c4d78e10904a86a6dc15dfce0c66476eabe0d65f5bfe9591cd9c5b7b43")
+
+
+def test_many_draws_leave_the_mixing_untouched():
+    """Each pair mixes in its own buffers: after 100 draws the spec's
+    mixing arrays hold their first bytes and are still read-only."""
+    cov = squared_exp_cov(97)
+    spec = CouplingSpec(97, cov, cov, 0.5 * cov)
+    scalar = ScalarCovSpec(1.0, 1.0, 0.35, 97)
+    for draw, mixing in ((lambda s: spectral_pair_gen(spec, s), spec.mixing),
+                         (lambda s: scalar_pair_gen(scalar, s),
+                          scalar.coupling_spec.mixing)):
+        first = [arr.copy() for arr in mixing]
+        for i in range(100):
+            draw(np.random.SeedSequence([13, i]))
+        for arr, want in zip(mixing, first):
+            assert arr.tobytes() == want.tobytes()
+            assert not arr.flags.writeable
 
 
 def test_gen_dataset_keeps_its_bytes():
