@@ -15,6 +15,7 @@ of every split. The synthetic experiments draw every coupling from
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +58,11 @@ class ExperimentConfig:
     fold_test_size: int | None = None
 
     def __post_init__(self):
+        for name in ("window_length", "stride", "n_folds", "seed", "fold_test_size"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or (name == "fold_test_size" and value is None)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         if self.n_folds < 2:

@@ -4,8 +4,10 @@ A pair (x, y) is synthesized in the frequency domain: the DFTs of the
 auto/cross-covariance sequences give spectral densities, two white Gaussian
 drivers are mixed per frequency bin through a phase angle chosen so the
 cross-spectrum of the mixture equals the prescribed one, and the inverse
-DFT returns the time-domain pair. Optional trend functions and an integer
-delay are applied afterwards.
+DFT returns the time-domain pair. The mixing realises real cross-spectra,
+so the prescribed cross-covariance must be even in the lag; a spec whose
+cross-spectrum is complex is rejected, and ``delay`` lags a pair.
+Optional trend functions and an integer delay are applied afterwards.
 
 DFT convention: unnormalized forward, 1/len inverse (numpy's default).
 The sqrt-spectrum scaling below depends on this convention; with it, a
@@ -50,6 +52,8 @@ TrendFn = Callable[[int, float], float]
 
 SPECTRUM_CLAMP_TOL = 1e-9
 COHERENCE_TOL = 1e-9
+# largest |Im fft(cxy)| accepted, relative to sum(|cxy|), which bounds |S_xy|
+CROSS_SPECTRUM_IMAG_TOL = 1e-9
 COUPLING_RANGE = (0.1, 0.9)  # (lo, hi) of the uniform coupling prior
 
 # Fig.-2-style preset constants
@@ -107,13 +111,21 @@ class CouplingSpec:
         Small negative auto-spectrum values (floating noise on valid
         covariance sequences) are clamped to zero; anything beyond the
         tolerance rejects the spec, as does a cross-spectrum exceeding
-        the coherence bound |S_xy| <= sqrt(S_xx * S_yy). A rejected spec
-        caches nothing, so every use raises again. The phase alpha is
-        arccos(S_xy / sqrt(S_xx * S_yy)), and 0 where that bound is 0.
+        the coherence bound |S_xy| <= sqrt(S_xx * S_yy). The mixing
+        realises a real cross-spectrum only, so a cxy that is not even in
+        the lag (cxy[k] != cxy[-k]), whose spectrum has an imaginary part
+        beyond ``CROSS_SPECTRUM_IMAG_TOL``, is rejected too; ``delay``
+        lags a pair. A rejected spec caches nothing, so every use raises
+        again. The phase alpha is arccos(S_xy / sqrt(S_xx * S_yy)), and 0
+        where that bound is 0.
         """
         sxx = np.fft.fft(self.cxx).real
         syy = np.fft.fft(self.cyy).real
-        sxy = np.fft.fft(self.cxy).real
+        fxy = np.fft.fft(self.cxy)
+        if np.max(np.abs(fxy.imag)) > CROSS_SPECTRUM_IMAG_TOL * np.sum(np.abs(self.cxy)):
+            raise ValueError("invalid cross-spectrum: cxy is not even in the lag, "
+                             "so its spectrum is complex; lag y behind x with delay")
+        sxy = fxy.real
         if np.min(sxx) < -SPECTRUM_CLAMP_TOL or np.min(syy) < -SPECTRUM_CLAMP_TOL:
             raise ValueError("invalid spectrum: negative spectral density")
         sxx = np.clip(sxx, 0.0, None)

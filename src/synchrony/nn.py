@@ -32,15 +32,20 @@ and a batch of B, the forward cache (``want_cache=True``) holds:
 - ``gates``: (4, T, n, B, H), post-activations i, f, o, g (the three
   sigmoids first; the weights keep the order i, f, g, o), one contiguous
   array per gate and step;
-- ``c``, ``h``: (T + 1, n, B, H), cell and hidden states; index 0 is the
-  zero initial state, index t + 1 the state after step t;
-- ``tc``: (T, n, B, H), act(c) per step;
+- ``c``: (T + 1, n, B, H), cell states; index 0 is the zero initial
+  state, index t + 1 the state after step t;
 - ``hcat``: (B, n * H) final hidden states and ``z``: (B,) head output
   before the ReLU.
 
 The pre-activations are not kept: the ReLU derivative is read from the
-post-activation, since (g > 0) equals (pre > 0). Without a cache they
-hold one step and two states of one chunk (see Inference below). Cache
+post-activation, since (g > 0) equals (pre > 0). Nor are h and act(c)
+per step: the forward pass keeps h in a two-row ring and act(c) in one
+buffer, and BPTT recomputes them a step at a time in those buffers,
+act(c) from ``c`` and h from the previous step's o and act(c). Each is
+formed by the forward pass's ufunc (the cell activation, then a
+multiply) on the same operands, elementwise, so it has the bits the
+forward pass had. Without a cache the gates and c hold one step and two
+states of one chunk (see Inference below). Cache
 arrays are views into the workspace and are overwritten by the next call
 on it; predictions and gradients are fresh arrays. A workspace belongs
 to one caller at a time (``kfold_cv`` and ``sweep_lstm_count`` reuse one
@@ -82,8 +87,9 @@ operands and the order of every operation:
 Results also match between one and two OpenBLAS threads at batch sizes 1,
 15, 64 and 105, but not at 901, where the ``rh`` gradient (a reduction
 over the batch) differs in the last bits with the thread count. A training
-step at B = 64, 6 x 32 LSTMs and T = 30 holds 22 MiB of workspace, 19.9 MiB
-of it the gates and states BPTT reads.
+step at B = 64, 6 x 32 LSTMs and T = 30 holds 16.6 MiB of workspace, 14.2
+MiB of it the gates and cell states BPTT reads; storing h and act(c) per
+step too took 22.1 MiB.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
 ``np.array_split`` chunks of at most ``INFER_CHUNK`` = 128 windows and
@@ -141,6 +147,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -250,6 +257,9 @@ class TrainConfig:
     cell_activation: str = "tanh"
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "hidden_size", "n_lstms", "lookback", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
         if not self.clip_norm > 0:  # false for NaN too; inf never clips
@@ -343,6 +353,9 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
+_CELL_ACT = {"tanh": np.tanh, "relu": _relu}  # the cell activation, both passes
+
+
 def _act_deriv(name: str, post: np.ndarray, out: np.ndarray) -> np.ndarray:
     """act'(pre) from the post-activation: 1 - post**2 for tanh, and
     (post > 0), which equals (pre > 0), for relu."""
@@ -377,13 +390,15 @@ def _fold_signs(model: SynchronyModel, ws: Workspace, bsz: int):
 
 
 def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, folded):
-    """The bank over (B, T, D) frames in ``ws``, keeping the last ``keep``
-    steps, with the ``_fold_signs`` weights ``folded`` (their bias for at
-    least B windows); returns the final hidden states as a (B, n, H) view
-    and the gates, c, h and tc buffers."""
+    """The bank over (B, T, D) frames in ``ws``, keeping the gates and cell
+    states of the last ``keep`` steps, with the ``_fold_signs`` weights
+    ``folded`` (their bias for at least B windows); returns the final
+    hidden states as a (B, n, H) view and the gates and c buffers. h is a
+    two-row ring and act(c) one buffer whatever ``keep`` is; BPTT
+    recomputes both."""
     bsz, t, d = x.shape
     n, hh = model.n_lstms, model.hidden_size
-    act = np.tanh if model.cell_activation == "tanh" else _relu
+    act = _CELL_ACT[model.cell_activation]
     wx_t, rh_t, bias = folded
     bias = bias[:, :bsz]
 
@@ -402,8 +417,8 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     # sigmoid gates first, so one add and one divide cover all three
     gates = ws._get("gates", (4, keep, n, bsz, hh))  # i, f, o, g
     cs = ws._get("c", (keep + 1, n, bsz, hh))
-    hs = ws._get("h", (keep + 1, n, bsz, hh))
-    tcs = ws._get("tc", (keep, n, bsz, hh))
+    hs = ws._get("h", (2, n, bsz, hh))
+    tc = ws._get("tc", (n, bsz, hh))
     ig = ws._get("ig", (n, bsz, hh))
     cs[0] = 0.0
     hs[0] = 0.0
@@ -415,7 +430,7 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
                 np.matmul(xt[first : first + span].reshape(span * bsz, d), wx_t,
                           out=xw)
             row = (ti - first) * bsz
-            np.matmul(hs[prev], rh_t, out=a)
+            np.matmul(hs[ti % 2], rh_t, out=a)
             np.add(xw[:, row : row + bsz], a, out=a)
             np.add(a, bias, out=a)
             # sigmoid(a) = 1 / (1 + exp(-a)) of i, f and o from their
@@ -431,10 +446,10 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
             np.multiply(f, cs[prev], out=cs[cur])
             np.multiply(i, g, out=ig)
             np.add(cs[cur], ig, out=cs[cur])
-            act(cs[cur], out=tcs[s])
-            np.multiply(o, tcs[s], out=hs[cur])
-    hfinal = hs[t % (keep + 1)].transpose(1, 0, 2)
-    return hfinal, {"gates": gates, "c": cs, "h": hs, "tc": tcs}
+            act(cs[cur], out=tc)
+            np.multiply(o, tc, out=hs[(ti + 1) % 2])
+    hfinal = hs[t % 2].transpose(1, 0, 2)
+    return hfinal, {"gates": gates, "c": cs}
 
 
 def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
@@ -576,19 +591,33 @@ def loss_and_grads(
     step_wx = ws._get("step_wx", g_wx.shape)
     step_rh = ws._get("step_rh", g_rh.shape)
     step_b = ws._get("step_b", g_b.shape)
-    xs, gates, cs, hs, tcs = (cache[k] for k in ("x", "gates", "c", "h", "tc"))
+    xs, gates, cs = cache["x"], cache["gates"], cache["c"]
+    t = xs.shape[1]
     name = model.cell_activation
-    for ti in range(xs.shape[1] - 1, -1, -1):
+    act = _CELL_ACT[name]
+    # h and act(c) are recomputed a step at a time in the forward pass's
+    # buffers, by its ufuncs on its operands, so they carry its bits; h
+    # before a step goes to the ring row that does not hold the final state
+    tc = ws._get("tc", (n, bsz, hh))
+    h_prev = ws._get("h", (2, n, bsz, hh))[(t + 1) % 2]
+    act(cs[t], out=tc)
+    for ti in range(t - 1, -1, -1):
         i, f, o, g = gates[:, ti]
         # each gate's gradient is formed in contiguous scratch and written
         # to its strided slice of da once; strided operands cost ~2x
-        # da_o = (dh * act(c)) * o * (1 - o)
-        np.multiply(dh, tcs[ti], out=tmp)
+        # da_o = (dh * act(c)) * o * (1 - o), with tc = act(c) after step ti
+        np.multiply(dh, tc, out=tmp)
         _sigmoid_grad(tmp, o, deriv, out=da_o)
         # dc += (dh * o) * act'(c)
         np.multiply(dh, o, out=tmp)
-        np.multiply(tmp, _act_deriv(name, tcs[ti], deriv), out=tmp)
+        np.multiply(tmp, _act_deriv(name, tc, deriv), out=tmp)
         np.add(dc, tmp, out=dc)
+        # h before step ti = o of step ti - 1 times act(c before step ti)
+        if ti:
+            act(cs[ti], out=tc)
+            np.multiply(gates[2, ti - 1], tc, out=h_prev)
+        else:
+            h_prev[...] = 0.0
         # da_i = (dc * g) * i * (1 - i)
         np.multiply(dc, g, out=tmp)
         _sigmoid_grad(tmp, i, deriv, out=da_i)
@@ -599,7 +628,7 @@ def loss_and_grads(
         np.multiply(dc, i, out=tmp)
         np.multiply(tmp, _act_deriv(name, g, deriv), out=da_g)
         g_wx += np.matmul(da_t, xs[None, :, ti, :], out=step_wx)
-        g_rh += np.matmul(da_t, hs[ti], out=step_rh)
+        g_rh += np.matmul(da_t, h_prev, out=step_rh)
         g_b += np.sum(da, axis=1, out=step_b)
         np.matmul(da, model.rh, out=dh)
         np.multiply(dc, f, out=dc)

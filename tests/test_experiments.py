@@ -48,6 +48,17 @@ def pair_samples(n=8, t=60, seed=0):
     return [pair_to_sample(p, f"g{i:03d}") for i, p in enumerate(pairs)]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_length", 20.0), ("stride", 2.5), ("n_folds", 3.0),
+    ("seed", float("nan")), ("fold_test_size", 2.5),
+])
+def test_experiment_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # stride 2.5 used to pass and fail in windowing, as a NumPy index error
+    with pytest.raises(ValueError, match=f"{field} must be an integer") as info:
+        tiny_config(**{field: value})
+    assert str(info.value).endswith(f", not {value!r}")
+
+
 # windowed dataset
 
 

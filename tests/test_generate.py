@@ -110,6 +110,31 @@ def test_pickled_spec_is_rebuilt_read_only():
         np.testing.assert_array_equal(g.y.values, w.y.values)
 
 
+@pytest.mark.parametrize("lag", [1, 3, 63])
+def test_a_cross_covariance_at_one_lag_only_is_rejected(lag):
+    """E[x_t y_{t+lag}] = 0.6 and nothing else is not even in the lag; the
+    mixing used to realise its even part, 0.3 at +lag and 0.3 at -lag."""
+    n = 256
+    cxx = np.zeros(n)
+    cxx[0] = 1.0
+    cxy = np.zeros(n)
+    cxy[lag] = 0.6
+    spec = CouplingSpec(n, cxx, cxx, cxy)
+    with pytest.raises(ValueError, match="invalid cross-spectrum.*delay"):
+        spectral_pair_gen(spec, 0)
+    # the even part is accepted
+    cxy[-lag] = 0.6
+    spectral_pair_gen(CouplingSpec(n, cxx, cxx, 0.5 * cxy), 0)
+
+
+def test_even_cross_covariances_are_accepted_at_every_length():
+    for length in (2, 3, 97, 100, 1000, 9000):
+        cov = squared_exp_cov(length)
+        for delay in (0, 1):
+            spec = CouplingSpec(length, cov, cov, 0.9 * cov, delay=delay)
+            assert len(spec.mixing) == 4
+
+
 def test_invalid_spec_raises_on_every_draw():
     n = 64
     cxx = np.zeros(n)
