@@ -63,6 +63,8 @@ class ExperimentConfig:
             if not (isinstance(value, numbers.Integral)
                     or (name == "fold_test_size" and value is None)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be a bool, not {self.normalize!r}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         if self.n_folds < 2:

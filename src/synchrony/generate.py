@@ -52,7 +52,8 @@ TrendFn = Callable[[int, float], float]
 
 SPECTRUM_CLAMP_TOL = 1e-9
 COHERENCE_TOL = 1e-9
-# largest |Im fft(cxy)| accepted, relative to sum(|cxy|), which bounds |S_xy|
+# largest |Im fft(c)| accepted for c in cxx, cyy, cxy, relative to sum(|c|),
+# which bounds |fft(c)|
 CROSS_SPECTRUM_IMAG_TOL = 1e-9
 COUPLING_RANGE = (0.1, 0.9)  # (lo, hi) of the uniform coupling prior
 
@@ -93,6 +94,8 @@ class CouplingSpec:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+        if not isinstance(self.delay, numbers.Integral):
+            raise ValueError(f"delay must be an integer, not {self.delay!r}")
         if not (0 <= self.delay < self.length):
             raise ValueError("delay must satisfy 0 <= delay < length")
 
@@ -112,20 +115,14 @@ class CouplingSpec:
         covariance sequences) are clamped to zero; anything beyond the
         tolerance rejects the spec, as does a cross-spectrum exceeding
         the coherence bound |S_xy| <= sqrt(S_xx * S_yy). The mixing
-        realises a real cross-spectrum only, so a cxy that is not even in
-        the lag (cxy[k] != cxy[-k]), whose spectrum has an imaginary part
-        beyond ``CROSS_SPECTRUM_IMAG_TOL``, is rejected too; ``delay``
+        realises real spectra only, so a covariance sequence that is not
+        even in the lag (c[k] != c[-k]), whose spectrum has an imaginary
+        part beyond ``CROSS_SPECTRUM_IMAG_TOL``, is rejected too; ``delay``
         lags a pair. A rejected spec caches nothing, so every use raises
         again. The phase alpha is arccos(S_xy / sqrt(S_xx * S_yy)), and 0
         where that bound is 0.
         """
-        sxx = np.fft.fft(self.cxx).real
-        syy = np.fft.fft(self.cyy).real
-        fxy = np.fft.fft(self.cxy)
-        if np.max(np.abs(fxy.imag)) > CROSS_SPECTRUM_IMAG_TOL * np.sum(np.abs(self.cxy)):
-            raise ValueError("invalid cross-spectrum: cxy is not even in the lag, "
-                             "so its spectrum is complex; lag y behind x with delay")
-        sxy = fxy.real
+        sxx, syy, sxy = (self._real_spectrum(name) for name in ("cxx", "cyy", "cxy"))
         if np.min(sxx) < -SPECTRUM_CLAMP_TOL or np.min(syy) < -SPECTRUM_CLAMP_TOL:
             raise ValueError("invalid spectrum: negative spectral density")
         sxx = np.clip(sxx, 0.0, None)
@@ -139,6 +136,19 @@ class CouplingSpec:
         for arr in mix:
             arr.setflags(write=False)
         return mix
+
+    def _real_spectrum(self, name: str) -> np.ndarray:
+        """fft of the covariance sequence ``name``, which must be even in
+        the lag, so that its spectrum is real."""
+        c = getattr(self, name)
+        f = np.fft.fft(c)
+        if np.max(np.abs(f.imag)) > CROSS_SPECTRUM_IMAG_TOL * np.sum(np.abs(c)):
+            if name == "cxy":
+                raise ValueError("invalid cross-spectrum: cxy is not even in the lag, "
+                                 "so its spectrum is complex; lag y behind x with delay")
+            raise ValueError(f"invalid spectrum: {name} is not even in the lag, "
+                             "so its spectrum is complex")
+        return f.real
 
 
 @dataclass(frozen=True)

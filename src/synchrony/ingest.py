@@ -4,18 +4,20 @@ multi-annotator label aggregation.
 File formats:
   - Frame CSV, read by ``read_frame_csv``: UTF-8 text, header
     ``frame,NAME,...`` with distinct non-empty names, whole frame numbers
-    counting up by 1, finite values. An AU CSV (one participant,
-    ``frame,AU01,AU02,...``) and a pair CSV are frame CSVs.
+    counting up by 1, finite values, numbers as ``np.loadtxt`` reads them.
+    An AU CSV (one participant, ``frame,AU01,AU02,...``) and a pair CSV
+    are frame CSVs.
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
     an ordered list of participant CSV paths (order defines participant
     position).
-  - Annotation CSV: rows ``group_id,labeler_id,score`` with scores in [1, 5].
+  - Annotation CSV: UTF-8 rows ``group_id,labeler_id,score``, scores in [1, 5].
+
+Each CSV is read once, by ``_text_lines``; an error names the file line.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,12 +50,11 @@ class AnnotationSet:
 
     def __post_init__(self):
         if len(self.scores) < 2:
-            raise IngestError("need at least 2 labelers per group")
+            raise IngestError(f"group {self.group_id!r}: need at least 2 labelers")
         for labeler, s in self.scores.items():
             if not (1.0 <= s <= 5.0):
-                raise IngestError(
-                    f"score {s} from labeler {labeler!r} outside [1, 5]"
-                )
+                raise IngestError(f"group {self.group_id!r}: score {s} from labeler "
+                                  f"{labeler!r} outside [1, 5]")
 
 
 def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
@@ -61,45 +62,41 @@ def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
 
     The file is UTF-8 text. The header is ``frame,NAME,...`` and names
     every column, none twice; each row below it holds a frame number and
-    one finite value per name, and frame numbers are whole and count up
-    by 1. ``#`` comments and blank lines are skipped. A file that breaks
-    the rule raises IngestError naming the path and, when a line is at
-    fault, the file line, counting the header as line 1.
+    one finite value per name, read by ``np.loadtxt``, and frame numbers
+    are whole and count up by 1. ``#`` comments and the lines they leave
+    empty are skipped. A file that breaks the rule raises IngestError
+    naming the path and, when a line is at fault, the file line (1 is the
+    header).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            line = fh.readline()
-            if not line:
-                raise IngestError(f"{path}: empty file")
-            header = [h.strip() for h in line.split(",")]
-            if header[0] != "frame" or len(header) < 2:
-                raise IngestError(f"{path}: line 1: missing columns (expected "
-                                  f"'frame,NAME,...'), found {line.strip()!r}")
-            if "" in header:
-                raise IngestError(f"{path}: line 1: column {header.index('') + 1} has no name")
-            twice = [h for i, h in enumerate(header) if h in header[:i]]
-            if twice:
-                raise IngestError(f"{path}: line 1: column {twice[0]!r} named twice")
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-                    rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise IngestError(f"{path}: {_bad_line(path, len(header)) or exc}") from None
-    except UnicodeDecodeError:
-        # text is decoded a block at a time, so any read above, the re-read
-        # that places another error included, can be the one that meets it
-        raise IngestError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
-    if len(rows) == 0:
+    lines = _text_lines(path)
+    if not lines:
+        raise IngestError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if header[0] != "frame" or len(header) < 2:
+        raise IngestError(f"{path}: line 1: missing columns (expected "
+                          f"'frame,NAME,...'), found {lines[0].strip()!r}")
+    if "" in header:
+        raise IngestError(f"{path}: line 1: column {header.index('') + 1} has no name")
+    twice = [h for i, h in enumerate(header) if h in header[:i]]
+    if twice:
+        raise IngestError(f"{path}: line 1: column {twice[0]!r} named twice")
+    # (file line, text) of each row, its comment cut; a line of spaces is a row
+    cut = (line.split("#", 1)[0] for line in lines[1:])
+    kept = [(n, text) for n, text in enumerate(cut, start=2) if text]
+    if not kept:
         raise IngestError(f"{path}: no data rows")
+    try:
+        rows = np.loadtxt([text for _, text in kept], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {_bad_row(kept, len(header)) or exc}") from None
     if rows.shape[1] != len(header):
-        raise IngestError(f"{path}: {_bad_line(path, len(header))}")
+        raise IngestError(f"{path}: {_bad_row(kept, len(header))}")
     frame = rows[:, 0]
     finite = np.isfinite(rows).all(axis=1)
     breaks = np.flatnonzero(~finite | (frame != np.round(frame[0]) + np.arange(len(rows))))
     if breaks.size:
         k = breaks[0]
-        n = _data_lines(path)[k][0]
+        n = kept[k][0]
         if not finite[k]:
             raise IngestError(f"{path}: line {n}: non-finite value")
         after = f" after {frame[k - 1]:.15g}" if k else ""
@@ -108,40 +105,41 @@ def read_frame_csv(path) -> tuple[list[str], np.ndarray]:
     return header[1:], rows[:, 1:]
 
 
-def _data_lines(path) -> list[tuple[int, str]]:
-    """(file line, text) of each row ``np.loadtxt`` reads below the header
-    of a frame CSV: each line with its ``#`` comment cut, unless nothing is
-    left (a line of spaces is a row). Read only to place an error."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n").split("#", 1)[0]) for n, line in enumerate(fh, start=1)]
-    return [(n, text) for n, text in lines[1:] if text]
-
-
-def _undecodable_line(path) -> int:
-    """The file line of a frame CSV's first byte that is not UTF-8, with
-    lines ended as text mode ends them. Read only to place an error."""
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, read once and split where text mode
+    splits them; a line that is not UTF-8 raises IngestError naming it."""
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for n, raw in enumerate(lines, start=1):
+        raw = fh.read().splitlines()
+    lines = []
+    for n, line in enumerate(raw, start=1):
         try:
-            raw.decode("utf-8")
+            lines.append(line.decode("utf-8"))
         except UnicodeDecodeError:
-            return n
+            raise IngestError(f"{path}: line {n}: not UTF-8 text") from None
+    return lines
 
 
-def _bad_line(path, n_columns: int) -> str | None:
-    """Where and why a frame CSV is not rows of ``n_columns`` numbers; None
-    when no line shows it."""
-    for n, text in _data_lines(path):
+def _bad_row(kept: list[tuple[int, str]], n_columns: int) -> str | None:
+    """Where and why the (file line, text) rows are not rows of ``n_columns``
+    numbers; None when no row shows it."""
+    for n, text in kept:
         cells = text.split(",")
         if len(cells) != n_columns:
             return f"line {n}: expected the {n_columns} columns of the header, found {len(cells)}"
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return f"line {n}: not a number: {cell.strip()!r}"
+        if not _reads(text):
+            for j, cell in enumerate(cells):
+                if not _reads(text, usecols=j):
+                    return f"line {n}: not a number: {cell.strip()!r}"
     return None
+
+
+def _reads(text: str, usecols=None) -> bool:
+    """Whether ``np.loadtxt`` reads the row ``text``, or its column ``usecols``."""
+    try:
+        np.loadtxt([text], delimiter=",", comments=None, usecols=usecols)
+    except ValueError:
+        return False
+    return True
 
 
 def load_au_csv(path) -> AuRecording:
@@ -195,34 +193,35 @@ def group_to_sample(
 
 
 def load_annotation_csv(path) -> list[AnnotationSet]:
-    """Annotation CSV (group_id,labeler_id,score) grouped by group."""
-    path = Path(path)
+    """Annotation CSV (group_id,labeler_id,score; UTF-8 text, header
+    optional) grouped by group. An error names the path and, when a line
+    is at fault, the file line."""
+    lines = _text_lines(path)
+    if not lines:
+        raise IngestError(f"{path}: empty file")
     by_group: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestError(f"{path.name}: empty file")
-    first_data_row = 1
-    if [h.strip() for h in rows[0][:3]] == ["group_id", "labeler_id", "score"]:
-        rows = rows[1:]
-        first_data_row = 2
-    for row_num, row in enumerate(rows, start=first_data_row):
-        if len(row) < 3:
-            raise IngestError(f"{path.name}: short row at row {row_num}")
-        gid, labeler = row[0].strip(), row[1].strip()
-        try:
-            score = float(row[2])
-        except ValueError:
-            raise IngestError(
-                f"{path.name}: unparsable score at row {row_num}"
-            ) from None
-        by_group.setdefault(gid, {})
-        if labeler in by_group[gid]:
-            raise IngestError(
-                f"{path.name}: duplicate score for group {gid}, labeler {labeler}"
-            )
-        by_group[gid][labeler] = score
-    return [AnnotationSet(g, scores) for g, scores in by_group.items()]
+    rows = csv.reader(lines)
+    try:
+        for row in rows:
+            n = rows.line_num
+            if n == 1 and [h.strip() for h in row[:3]] == ["group_id", "labeler_id", "score"]:
+                continue
+            if len(row) < 3:
+                raise IngestError(f"line {n}: short row")
+            gid, labeler = row[0].strip(), row[1].strip()
+            try:
+                score = float(row[2])
+            except ValueError:
+                raise IngestError(f"line {n}: unparsable score {row[2]!r}") from None
+            scores = by_group.setdefault(gid, {})
+            if labeler in scores:
+                raise IngestError(f"line {n}: duplicate score for group {gid}, labeler {labeler}")
+            scores[labeler] = score
+        return [AnnotationSet(g, scores) for g, scores in by_group.items()]
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise IngestError(f"{path}: line {rows.line_num}: {exc}") from None
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def aggregate_annotations(

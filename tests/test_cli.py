@@ -316,6 +316,14 @@ def _rewrite_au_csv(name, change):
     return fault
 
 
+def _annotate_on(body: bytes):
+    def argv(tmp_path, monkeypatch):
+        scores = tmp_path / "ann.csv"
+        scores.write_bytes(body)
+        return ["annotate", "--scores", str(scores)]
+    return argv
+
+
 FAULTS = {
     "no-manifest": _kfold_after(lambda data, mp: (data / "manifest.json").unlink()),
     "missing-label": _kfold_after(lambda data, mp: _edit_manifest(
@@ -366,6 +374,8 @@ FAULTS = {
         "g1_p2.csv", lambda lines: [line.rsplit(",", 2)[0] for line in lines])),
     "ingest-au-named-twice": _ingest_after(_rewrite_au_csv(
         "g1_p1.csv", lambda lines: ["frame,AU01,AU01,AU04,AU06", *lines[1:]])),
+    "annotate-byte-not-utf8": _annotate_on(b"g1,l1,2\ng1,l2,2\ng1,l\xff3,2\n"),
+    "annotate-short-row": _annotate_on(b"g1,l1,2\ng1,l2\n"),
 }
 
 
@@ -388,6 +398,8 @@ NAMED = {
     "ingest-member-longer": "group 'g1': ",
     "ingest-too-few-shared-aus": "group 'g1': ",
     "ingest-au-named-twice": "g1_p1.csv: line 1: column 'AU01' named twice",
+    "annotate-byte-not-utf8": "ann.csv: line 3: not UTF-8 text",
+    "annotate-short-row": "ann.csv: line 2: short row",
 }
 
 

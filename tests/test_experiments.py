@@ -59,6 +59,14 @@ def test_experiment_config_rejects_a_count_that_is_not_an_integer(field, value):
     assert str(info.value).endswith(f", not {value!r}")
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)])
+def test_experiment_config_rejects_a_normalize_that_is_not_a_bool(value):
+    # "false" used to pass and, being truthy, z-scored every sample
+    with pytest.raises(ValueError) as info:
+        tiny_config(normalize=value)
+    assert str(info.value) == f"normalize must be a bool, not {value!r}"
+
+
 # windowed dataset
 
 

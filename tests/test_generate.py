@@ -65,6 +65,14 @@ def test_coupling_spec_rejects_bad_delay():
         flat_spec(delay=-1)
 
 
+@pytest.mark.parametrize("delay", [1.5, 2.0, "1"])
+def test_coupling_spec_rejects_a_non_integer_delay(delay):
+    # 1.5 used to pass and fail on the first draw, as a TypeError from a slice
+    with pytest.raises(ValueError) as info:
+        flat_spec(delay=delay)
+    assert str(info.value) == f"delay must be an integer, not {delay!r}"
+
+
 def test_coherence_bound_violation_rejected():
     n = 64
     cxx = np.zeros(n)
@@ -125,6 +133,21 @@ def test_a_cross_covariance_at_one_lag_only_is_rejected(lag):
     # the even part is accepted
     cxy[-lag] = 0.6
     spectral_pair_gen(CouplingSpec(n, cxx, cxx, 0.5 * cxy), 0)
+
+
+@pytest.mark.parametrize("name", ["cxx", "cyy"])
+def test_an_auto_covariance_that_is_not_even_is_rejected(name):
+    """cxx[3] = 0.4 with cxx[-3] = 0 used to be realised as its even part,
+    E[x_t x_{t+3}] = 0.2, without a word."""
+    n = 256
+    cov = {key: np.zeros(n) for key in ("cxx", "cyy", "cxy")}
+    cov["cxx"][0] = cov["cyy"][0] = 1.0
+    cov[name][3] = 0.4
+    spec = CouplingSpec(n, **cov)
+    with pytest.raises(ValueError, match=f"^invalid spectrum: {name} is not even in the lag"):
+        spectral_pair_gen(spec, 0)
+    cov[name][-3] = 0.4
+    spectral_pair_gen(CouplingSpec(n, **cov), 0)
 
 
 def test_even_cross_covariances_are_accepted_at_every_length():

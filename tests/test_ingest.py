@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synchrony.cli import load_dataset
 from synchrony.ingest import (
@@ -14,6 +14,7 @@ from synchrony.ingest import (
     load_annotation_csv,
     load_au_csv,
     mean_average_deviation,
+    read_frame_csv,
     select_top_aus,
 )
 
@@ -93,6 +94,9 @@ FRAME_CSV_FAULTS = {
                           "line 9: frame 6 after 4"),
     "non-numeric-cell": ("frame,{}\n0,0.5,0.25\n1,abc,0.25\n", "line 3: not a number: 'abc'"),
     "quoted-cell": ('frame,{}\n0,0.5,0.25\n1,"0.5",0.25\n', "line 3: not a number"),
+    # Python's float() reads both of these; np.loadtxt reads neither
+    "underscore-cell": ("frame,{}\n0,0.5,0.25\n1,1_0,0.25\n", "line 3: not a number: '1_0'"),
+    "non-ascii-digit": ("frame,{}\n0,0.5,0.25\n1,\u0661,0.25\n", "line 3: not a number"),
     "nan-cell": ("frame,{}\n0,0.5,0.25\n1,nan,0.25\n", "line 3: non-finite"),
     "inf-cell": ("frame,{}\n0,0.5,0.25\n1,0.5,-inf\n", "line 3: non-finite"),
     "ragged-row": ("frame,{}\n0,0.5,0.25\n1,0.5\n", "line 3: expected the 3 columns"),
@@ -106,16 +110,21 @@ FRAME_CSV_FAULTS = {
 }
 
 
+def _encode(body: str) -> bytes:
+    """``body`` as UTF-8, except that "\xff" stands for the one byte 0xff,
+    which is not UTF-8."""
+    return b"\xff".join(part.encode("utf-8") for part in body.split("\xff"))
+
+
 @pytest.mark.parametrize("case", list(FRAME_CSV_FAULTS))
 def test_frame_csv_rule_is_shared(tmp_path, case):
     """An AU CSV and a pair CSV with the same body load, or fail at the
     same line with the same message."""
     body, expected = FRAME_CSV_FAULTS[case]
-    # written as Latin-1, so "\xff" is the one byte 0xff, which is not UTF-8
     au = tmp_path / "p.csv"
-    au.write_bytes(body.format("AU01,AU02").encode("latin-1"))
+    au.write_bytes(_encode(body.format("AU01,AU02")))
     pair = tmp_path / "pair_0000.csv"
-    pair.write_bytes(body.format("x,y").encode("latin-1"))
+    pair.write_bytes(_encode(body.format("x,y")))
     (tmp_path / "manifest.json").write_text(json.dumps(
         {"kind": "pairs", "pairs": [{"file": pair.name, "label": 0.5}]}))
     if expected is None:
@@ -139,6 +148,75 @@ def test_frame_csv_rejects_a_column_named_twice(tmp_path, header, name):
     with pytest.raises(IngestError) as info:
         load_au_csv(path)
     assert str(info.value) == f"{path}: line 1: column {name!r} named twice"
+
+
+# the pieces of a frame-CSV body: number syntax that np.loadtxt reads and
+# syntax that only Python's float() reads ("_"), the delimiter, comments,
+# blanks and both line-end bytes
+CSV_PIECES = [*"0123456789", ".", "-", "e", "_", ",", "#", " ", "\n", "\r", "nan", "inf"]
+_text = st.lists(st.sampled_from(CSV_PIECES), max_size=6).map("".join)
+_cell = st.one_of(st.integers(-99, 99).map(str), st.integers(0, 99).map(lambda i: str(i / 8)),
+                  _text)
+
+
+@st.composite
+def frame_csv_bodies(draw):
+    """Bodies of rows that count up from a drawn frame, with drawn cells,
+    mixed with lines of drawn text and drawn line ends."""
+    first, lines = draw(st.integers(-2, 2)), []
+    for i in range(draw(st.integers(0, 5))):
+        row = f"{first + i},{draw(_cell)},{draw(_cell)}"
+        lines.append(draw(st.one_of(st.just(row), _text)))
+    return "".join(line + draw(st.sampled_from(["\n", "\r", "\r\n"])) for line in lines)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(frame_csv_bodies())
+def test_frame_csv_reads_what_loadtxt_reads(tmp_path, body):
+    """The reader rejects a body with IngestError or returns what np.loadtxt
+    reads below the header of the same file."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(("frame,x,y\n" + body).encode("ascii"))
+    try:
+        names, values = read_frame_csv(path)
+    except IngestError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert names == ["x", "y"]
+    assert np.array_equal(values, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:])
+
+
+def _annotation(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+# An annotation CSV body and the start of its error after the file's path.
+ANNOTATION_CSV_FAULTS = {
+    "byte-not-utf8": (_annotation(["group_id,labeler_id,score", "g1,l1,3", "g1,l\xff2,4"]),
+                      "line 3: not UTF-8 text"),
+    "short-row": (_annotation(["g1,l1,3", "g1,l2"], end="\r\n"), "line 2: short row"),
+    "blank-line": (_annotation(["g1,l1,3", "", "g1,l2,4"]), "line 2: short row"),
+    "unparsable-score": (_annotation(["group_id,labeler_id,score", "g1,l1,3", "g1,l2,high"]),
+                         "line 3: unparsable score 'high'"),
+    "duplicate-score": (_annotation(["g1,l1,3", "g2,l1,4", "g1,l1,4"], end="\r"),
+                        "line 3: duplicate score for group g1, labeler l1"),
+    "field-too-long": (_annotation(["g1,l1,3", "g1," + "l" * 200_000 + ",4"]),
+                       "line 2: field larger than field limit"),
+    "one-labeler": (_annotation(["g1,l1,3", "g2,l1,3", "g2,l2,4"]),
+                    "group 'g1': need at least 2 labelers"),
+    "score-out-of-range": (_annotation(["g1,l1,3", "g1,l2,6"]),
+                           "group 'g1': score 6.0 from labeler 'l2' outside [1, 5]"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANNOTATION_CSV_FAULTS))
+def test_annotation_csv_errors_name_the_path_and_line(tmp_path, case):
+    body, expected = ANNOTATION_CSV_FAULTS[case]
+    path = tmp_path / "ann.csv"
+    path.write_bytes(_encode(body))
+    with pytest.raises(IngestError) as info:
+        load_annotation_csv(path)
+    assert str(info.value).startswith(f"{path}: {expected}")
 
 
 # mean average deviation
