@@ -10,7 +10,8 @@ File formats:
   - Group manifest, read by ``synchrony ingest``: JSON mapping group_id to
     an ordered list of participant CSV paths (order defines participant
     position).
-  - Annotation CSV: UTF-8 rows ``group_id,labeler_id,score``, scores in [1, 5].
+  - Annotation CSV: UTF-8 rows ``group_id,labeler_id,score``, scores in [1, 5]
+    read as a frame CSV's numbers are.
 
 Each CSV is read once, by ``_text_lines``; an error names the file line.
 """
@@ -209,14 +210,16 @@ def load_annotation_csv(path) -> list[AnnotationSet]:
             if len(row) < 3:
                 raise IngestError(f"line {n}: short row")
             gid, labeler = row[0].strip(), row[1].strip()
+            # the frame CSV's number rule; an empty cell is passed as " ",
+            # which loadtxt rejects, as it would skip "" as an empty row
             try:
-                score = float(row[2])
+                (score,) = np.loadtxt([row[2] or " "], delimiter=",", comments=None, ndmin=1)
             except ValueError:
                 raise IngestError(f"line {n}: unparsable score {row[2]!r}") from None
             scores = by_group.setdefault(gid, {})
             if labeler in scores:
                 raise IngestError(f"line {n}: duplicate score for group {gid}, labeler {labeler}")
-            scores[labeler] = score
+            scores[labeler] = float(score)
         return [AnnotationSet(g, scores) for g, scores in by_group.items()]
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise IngestError(f"{path}: line {rows.line_num}: {exc}") from None

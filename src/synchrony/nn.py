@@ -29,9 +29,9 @@ and a batch of B, the forward cache (``want_cache=True``) holds:
 
 - ``x``: (B, T, D), the frames the step consumed (a view of the input,
   which ``windows_to_batch`` gathers at lookback width for training);
-- ``gates``: (4, T, n, B, H), post-activations i, f, o, g (the three
+- ``gates``: (T, 4, n, B, H), post-activations i, f, o, g (the three
   sigmoids first; the weights keep the order i, f, g, o), one contiguous
-  array per gate and step;
+  (4, n, B, H) block per step;
 - ``c``: (T + 1, n, B, H), cell states; index 0 is the zero initial
   state, index t + 1 the state after step t;
 - ``hcat``: (B, n * H) final hidden states and ``z``: (B,) head output
@@ -39,13 +39,13 @@ and a batch of B, the forward cache (``want_cache=True``) holds:
 
 The pre-activations are not kept: the ReLU derivative is read from the
 post-activation, since (g > 0) equals (pre > 0). Nor are h and act(c)
-per step: the forward pass keeps h in a two-row ring and act(c) in one
-buffer, and BPTT recomputes them a step at a time in those buffers,
-act(c) from ``c`` and h from the previous step's o and act(c). Each is
-formed by the forward pass's ufunc (the cell activation, then a
-multiply) on the same operands, elementwise, so it has the bits the
-forward pass had. Without a cache the gates and c hold one step and two
-states of one chunk (see Inference below). Cache
+per step: the forward pass keeps one h buffer, the step's scratch for
+i * g, act(c) and then the new h once the recurrent GEMM has read it, and
+BPTT recomputes act(c) from ``c`` and h from the previous step's o and
+act(c), a step at a time. Each is formed by the forward pass's ufunc (the
+cell activation, then a multiply) on the same operands, elementwise, so
+it has the bits the forward pass had. Without a cache the gates and c
+hold one step and two states of one chunk (see Inference below). Cache
 arrays are views into the workspace and are overwritten by the next call
 on it; predictions and gradients are fresh arrays. A workspace belongs
 to one caller at a time (``kfold_cv`` and ``sweep_lstm_count`` reuse one
@@ -59,10 +59,11 @@ The step is bit-identical to the allocating version it replaced, kept in
 operands and the order of every operation:
 
 - the input projection x @ wx^T is formed per step, one (B, D) block of
-  frames per GEMM, never for all T steps at once; a row of a GEMM with at
-  least two rows has the bits of the same row in the oracle's (T * B)-row
-  GEMM. A one-row product goes through GEMV, whose bits differ, so at
-  B = 1 one GEMM projects two steps (the last two overlap when T is odd);
+  frames per GEMM into that step's block of ``gates``, never for all T
+  steps at once; a row of a GEMM with at least two rows has the bits of
+  the same row in the oracle's (T * B)-row GEMM. A one-row product goes
+  through GEMV, whose bits differ, so at B = 1 one GEMM projects two
+  steps into a buffer of their own (the last two overlap when T is odd);
   only T = B = 1 projects one row, as the oracle does;
 - the rows of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
   multiplied by -1 once per call. That is exact, and rounding is
@@ -76,10 +77,9 @@ operands and the order of every operation:
 - exp and the cell activation read the gates' strided columns of the
   pre-activation through one (4, n, B, H) view, two exp calls (i and f
   together, then o) and the cell activation per step; one add and one
-  divide then finish all three sigmoids over their block of ``gates``
-  (contiguous without a cache). Each element so goes through the same
-  operations as in the oracle, and every elementwise product is formed in
-  the same order;
+  divide then finish all three sigmoids over their contiguous block of
+  ``gates``. Each element so goes through the same operations as in the
+  oracle, and every elementwise product is formed in the same order;
 - the backward pass builds each gate's gradient in contiguous scratch and
   writes it into its slice of one (n, B, 4H) array, which the gradient
   GEMMs and the batch sum read exactly as the concatenated array before.
@@ -87,15 +87,15 @@ operands and the order of every operation:
 Results also match between one and two OpenBLAS threads at batch sizes 1,
 15, 64 and 105, but not at 901, where the ``rh`` gradient (a reduction
 over the batch) differs in the last bits with the thread count. A training
-step at B = 64, 6 x 32 LSTMs and T = 30 holds 16.6 MiB of workspace, 14.2
+step at B = 64, 6 x 32 LSTMs and T = 30 holds 16.1 MiB of workspace, 14.2
 MiB of it the gates and cell states BPTT reads; storing h and act(c) per
 step too took 22.1 MiB.
 
 Inference. Without a cache ``forward_batch`` runs the bank over
 ``np.array_split`` chunks of at most ``INFER_CHUNK`` = 128 windows and
 then the head once over the whole batch. The workspace so holds one step
-of one chunk whatever B is: 4.2 MiB for a full chunk at 6 x 32 LSTMs,
-3.7 MiB after a 901-window batch (chunks of 112 and 113), where one pass
+of one chunk whatever B is: 2.9 MiB for a full chunk at 6 x 32 LSTMs,
+2.5 MiB after a 901-window batch (chunks of 112 and 113), where one pass
 over the batch would hold 177 MiB. On one lane the chunk size hardly
 matters: at 6 x 32 LSTMs a 901-window batch took about as long with
 chunks of 31 windows as with 226, and longer only with 451. On two lanes
@@ -120,7 +120,7 @@ The chunks of one batch are independent, so they run on ``LANES`` threads
 (two where the process may use two CPUs): a batch of at least
 ``SPLIT_MIN_CHUNKS`` = 6 chunks (641 windows or more) starts one helper
 thread, which runs the second half of the chunks in a fresh workspace
-(3.0 MiB after a 901-window batch) while the caller runs the first half
+(1.9 MiB after a 901-window batch) while the caller runs the first half
 in its own, and the call joins it before returning. The sign-folded
 weights and the broadcast bias are formed once per call, and both lanes
 read them. NumPy releases the GIL inside each GEMM and ufunc, so the
@@ -393,49 +393,49 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     """The bank over (B, T, D) frames in ``ws``, keeping the gates and cell
     states of the last ``keep`` steps, with the ``_fold_signs`` weights
     ``folded`` (their bias for at least B windows); returns the final
-    hidden states as a (B, n, H) view and the gates and c buffers. h is a
-    two-row ring and act(c) one buffer whatever ``keep`` is; BPTT
-    recomputes both."""
+    hidden states as a (B, n, H) view and the gates and c buffers. The one
+    h buffer, once the recurrent GEMM has read it, holds i * g, act(c) and
+    then the new h; BPTT recomputes act(c) and each earlier h."""
     bsz, t, d = x.shape
     n, hh = model.n_lstms, model.hidden_size
     act = _CELL_ACT[model.cell_activation]
     wx_t, rh_t, bias = folded
     bias = bias[:, :bsz]
 
-    # frames time-major; one input-projection GEMM covers `span` steps: two
-    # at B = 1, as a one-row GEMM takes another BLAS path and other bits
+    # frames time-major; a step's input projection goes into its gates block,
+    # except at B = 1, where one GEMM projects two steps into xw, as a
+    # one-row GEMM takes another BLAS path and other bits
     xt = ws._get("x_time_major", (t, bsz, d))
     np.copyto(xt, x.transpose(1, 0, 2))
     span = min(t, 2 if bsz == 1 else 1)
-    xw = ws._get("xw", (n, span * bsz, 4 * hh))
-    first = -span  # first step in xw
+    xw = ws._get("xw", (n, span, 4 * hh)) if bsz == 1 else None
+    first = -span  # first step in the projection
 
     # internal layout (n_lstms, batch, ...) so each step is a batched GEMM;
     # a_gate is the (4, n, B, H) gate-major view of the weights' i, f, g, o
     a = ws._get("a", (n, bsz, 4 * hh))
     a_gate = a.reshape(n, bsz, 4, hh).transpose(2, 0, 1, 3)
-    # sigmoid gates first, so one add and one divide cover all three
-    gates = ws._get("gates", (4, keep, n, bsz, hh))  # i, f, o, g
+    # step-major, sigmoid gates first, so one add and one divide cover all three
+    gates = ws._get("gates", (keep, 4, n, bsz, hh))  # i, f, o, g
     cs = ws._get("c", (keep + 1, n, bsz, hh))
-    hs = ws._get("h", (2, n, bsz, hh))
-    tc = ws._get("tc", (n, bsz, hh))
-    ig = ws._get("ig", (n, bsz, hh))
+    h = ws._get("h", (n, bsz, hh))
     cs[0] = 0.0
-    hs[0] = 0.0
+    h[...] = 0.0
     with np.errstate(over="ignore"):
         for ti in range(t):
             s, prev, cur = ti % keep, ti % (keep + 1), (ti + 1) % (keep + 1)
+            step = gates[s]
+            proj = step.reshape(n, bsz, 4 * hh) if xw is None else xw
             if ti >= first + span:  # the last span overlaps when t is odd
                 first = min(ti, t - span)
                 np.matmul(xt[first : first + span].reshape(span * bsz, d), wx_t,
-                          out=xw)
+                          out=proj)
             row = (ti - first) * bsz
-            np.matmul(hs[ti % 2], rh_t, out=a)
-            np.add(xw[:, row : row + bsz], a, out=a)
+            np.matmul(h, rh_t, out=a)
+            np.add(proj[:, row : row + bsz], a, out=a)
             np.add(a, bias, out=a)
             # sigmoid(a) = 1 / (1 + exp(-a)) of i, f and o from their
             # negated pre-activations; where exp overflows it is exactly 0
-            step = gates[:, s]
             i, f, o, g = step
             sig = step[:3]
             np.exp(a_gate[:2], out=step[:2])
@@ -444,12 +444,11 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
             np.divide(1.0, sig, out=sig)
             act(a_gate[2], out=g)
             np.multiply(f, cs[prev], out=cs[cur])
-            np.multiply(i, g, out=ig)
-            np.add(cs[cur], ig, out=cs[cur])
-            act(cs[cur], out=tc)
-            np.multiply(o, tc, out=hs[(ti + 1) % 2])
-    hfinal = hs[t % 2].transpose(1, 0, 2)
-    return hfinal, {"gates": gates, "c": cs}
+            np.multiply(i, g, out=h)
+            np.add(cs[cur], h, out=cs[cur])
+            act(cs[cur], out=h)
+            np.multiply(o, h, out=h)
+    return h.transpose(1, 0, 2), {"gates": gates, "c": cs}
 
 
 def _bank_in_chunks(model: SynchronyModel, windows, n_windows: int,
@@ -595,14 +594,14 @@ def loss_and_grads(
     t = xs.shape[1]
     name = model.cell_activation
     act = _CELL_ACT[name]
-    # h and act(c) are recomputed a step at a time in the forward pass's
-    # buffers, by its ufuncs on its operands, so they carry its bits; h
-    # before a step goes to the ring row that does not hold the final state
+    # h and act(c) are recomputed a step at a time, by the forward pass's
+    # ufuncs on its operands, so they carry its bits; h before a step goes
+    # to the h buffer, whose final state (hcat at n = 1) was read above
     tc = ws._get("tc", (n, bsz, hh))
-    h_prev = ws._get("h", (2, n, bsz, hh))[(t + 1) % 2]
+    h_prev = ws._get("h", (n, bsz, hh))
     act(cs[t], out=tc)
     for ti in range(t - 1, -1, -1):
-        i, f, o, g = gates[:, ti]
+        i, f, o, g = gates[ti]
         # each gate's gradient is formed in contiguous scratch and written
         # to its strided slice of da once; strided operands cost ~2x
         # da_o = (dh * act(c)) * o * (1 - o), with tc = act(c) after step ti
@@ -615,7 +614,7 @@ def loss_and_grads(
         # h before step ti = o of step ti - 1 times act(c before step ti)
         if ti:
             act(cs[ti], out=tc)
-            np.multiply(gates[2, ti - 1], tc, out=h_prev)
+            np.multiply(gates[ti - 1, 2], tc, out=h_prev)
         else:
             h_prev[...] = 0.0
         # da_i = (dc * g) * i * (1 - i)

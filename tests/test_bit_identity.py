@@ -192,6 +192,28 @@ def test_step_bit_identical_at_small_batches_and_odd_lookbacks(activation, bsz, 
     assert_step_identical(model, *batch(bsz, d=3), None, lookback=lookback)
 
 
+@pytest.mark.parametrize("reuse", [True, False])
+def test_step_bit_identical_where_h_or_the_projection_aliases(reuse):
+    """At n_lstms = 1 the cached hcat is a view of the one h buffer, which
+    BPTT then fills with h before each step; at B = 1 the projection keeps
+    its own buffer, at B >= 2 it is written into the step's gates. The
+    cached hcat, the loss, the gradients and the chunked predictions match
+    the oracle on one reused workspace and on fresh ones."""
+    ws = Workspace() if reuse else None
+    for n in (1, 2):
+        model = init_model(3, n_lstms=n, hidden_size=5, seed=n)
+        for bsz in (1, 2, 64):
+            x, y = batch(bsz, d=3)
+            for t in (1, 2, 30):
+                pred, cache = forward_batch(model, x, lookback=t, want_cache=True,
+                                            workspace=ws)
+                ref_pred, ref_cache = reference_forward_batch(model, x, lookback=t,
+                                                              want_cache=True)
+                assert np.array_equal(pred, ref_pred), (n, bsz, t)
+                assert np.array_equal(cache["hcat"], ref_cache["hcat"]), (n, bsz, t)
+                assert_step_identical(model, x, y, ws, lookback=t)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_step_bit_identical_where_the_sigmoid_is_exactly_zero(activation):
     """Large inputs make exp overflow to inf inside the sigmoid, which
@@ -200,7 +222,7 @@ def test_step_bit_identical_where_the_sigmoid_is_exactly_zero(activation):
     x, y = batch(15, d=3)
     x *= 500.0
     _, cache = forward_batch(model, x, lookback=LOOKBACK, want_cache=True)
-    assert np.any(cache["gates"][:3] == 0.0)
+    assert np.any(cache["gates"][:, :3] == 0.0)
     assert_step_identical(model, x, y, None)
 
 

@@ -198,6 +198,13 @@ ANNOTATION_CSV_FAULTS = {
     "blank-line": (_annotation(["g1,l1,3", "", "g1,l2,4"]), "line 2: short row"),
     "unparsable-score": (_annotation(["group_id,labeler_id,score", "g1,l1,3", "g1,l2,high"]),
                          "line 3: unparsable score 'high'"),
+    "non-ascii-digit-score": (_annotation(["g1,l1,3", "g1,l2,\u0663"]),
+                              "line 2: unparsable score '\u0663'"),
+    "underscore-score": (_annotation(["g1,l1,3", "g1,l2,3_0"]),
+                         "line 2: unparsable score '3_0'"),
+    "empty-score": (_annotation(["g1,l1,3", "g1,l2,"]), "line 2: unparsable score ''"),
+    "two-numbers-score": (_annotation(["g1,l1,3", 'g1,l2,"3,4"']),
+                          "line 2: unparsable score '3,4'"),
     "duplicate-score": (_annotation(["g1,l1,3", "g2,l1,4", "g1,l1,4"], end="\r"),
                         "line 3: duplicate score for group g1, labeler l1"),
     "field-too-long": (_annotation(["g1,l1,3", "g1," + "l" * 200_000 + ",4"]),

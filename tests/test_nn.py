@@ -85,7 +85,7 @@ def test_lstm_step_zero_input_fixed_point():
     steps = 5000
     _, cache = forward_batch(m, np.zeros((1, steps, 3)), lookback=steps, want_cache=True)
     # the cache keeps no h: after t steps h = o of the t-th step * tanh(c[t])
-    o, c = cache["gates"][2], cache["c"]
+    o, c = cache["gates"][:, 2], cache["c"]
     h_last, h_before = (o[t - 1] * np.tanh(c[t]) for t in (steps, steps - 1))
     delta = np.concatenate([h_last - h_before, c[steps] - c[steps - 1]], axis=None)
     assert np.linalg.norm(delta) < 1e-9
@@ -189,10 +189,10 @@ def held(ws):
 
 def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
     """Without a cache each lane runs one chunk of at most INFER_CHUNK
-    windows at a time and projects one step's frames at a time, so each
-    lane's workspace holds what one step of one such chunk needs (4.2 MiB
-    at 6 x 32 LSTMs for the caller's, which also holds the bias both
-    lanes read) at any batch size."""
+    windows at a time and projects one step's frames at a time into that
+    step's gates, so each lane's workspace holds what one step of one such
+    chunk needs (2.9 MiB at 6 x 32 LSTMs for the caller's, which also
+    holds the bias both lanes read) at any batch size."""
     monkeypatch.setattr(nn, "LANES", 2)
     made = []
 
@@ -204,10 +204,10 @@ def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
     n, hh, t, d = 6, 32, 30, 2
     m = init_model(d, n_lstms=n, hidden_size=hh, seed=0)
     x, _ = random_batch(40 * INFER_CHUNK, w=t, seed=1)
-    # one step of one chunk: its frames (T, B, D); the projection, the
-    # pre-activation and the bias, (n, B, 4H) each; the four gates, two
-    # c, two h, act(c) and i * g, (n, B, H) each
-    per_chunk = 8 * INFER_CHUNK * (t * d + n * (3 * 4 * hh + 10 * hh))
+    # one step of one chunk: its frames (T, B, D); the pre-activation and
+    # the bias, (n, B, 4H) each; the four gates (which first hold the
+    # projection), two c and one h, (n, B, H) each
+    per_chunk = 8 * INFER_CHUNK * (t * d + n * (2 * 4 * hh + 7 * hh))
 
     ws = Workspace()
     monkeypatch.setattr(nn, "Workspace", Recorded)
@@ -228,15 +228,16 @@ def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
 
 def test_training_workspace_holds_no_projection_of_every_step():
     """A training step keeps the gates and cell states of all T steps for
-    BPTT (14.2 MiB at B = 64, 6 x 32 LSTMs, T = 30; 16.6 MiB in all), but
-    no history of h or act(c), which BPTT recomputes (5.4 MiB more, 22.1
-    MiB in all), and projects the frames one step at a time, with no
-    (n, T * B, 4H) projection of every step (11.25 MiB more)."""
+    BPTT (14.2 MiB at B = 64, 6 x 32 LSTMs, T = 30; 16.08 MiB in all), but
+    no history of h or act(c), which BPTT recomputes (5.4 MiB more), and
+    projects the frames one step at a time into that step's gates, with
+    no (n, B, 4H) projection buffer (0.375 MiB more) and no (n, T * B, 4H)
+    projection of every step (11.25 MiB more)."""
     m = init_model(2, n_lstms=6, hidden_size=32, seed=0)
     x, y = random_batch(64, w=30, seed=1)
     ws = Workspace()
     loss_and_grads(m, x, y, lookback=30, workspace=ws)
-    assert held(ws) <= 17 * 2**20
+    assert held(ws) <= 16.1 * 2**20
 
 
 def test_forward_dimension_mismatch():
