@@ -43,13 +43,14 @@ from pathlib import Path
 from . import __version__
 from .core import InteractionSample
 from .experiments import (
+    AGGREGATIONS,
     ExperimentConfig,
     kfold_cv,
     permutation_baseline,
     sweep_lstm_count,
     train_experiment,
 )
-from .generate import COUPLING_RANGE, GeneratedPair, gen_dataset, preset_pairs
+from .generate import COUPLING_RANGE, PRESETS, GeneratedPair, gen_dataset, preset_pairs
 from .ingest import (
     aggregate_annotations,
     group_to_sample,
@@ -58,7 +59,7 @@ from .ingest import (
     read_frame_csv,
     select_top_aus,
 )
-from .nn import TrainConfig, save_model
+from .nn import CELL_ACTIVATIONS, OPTIMIZERS, TrainConfig, save_model
 
 
 class CliError(Exception):
@@ -116,7 +117,7 @@ _SETTINGS = {s.key: s for s in (
     Setting("pairs", int, 100),
     Setting("len", int, 1000),
     Setting("phi_range", str, "{}:{}".format(*COUPLING_RANGE), help="LO:HI coupling range"),
-    Setting("preset", str, choices=("stationary", "shifted", "trended")),
+    Setting("preset", str, choices=tuple(PRESETS)),
     Setting("data", str, _REQUIRED, help="dataset directory with manifest.json"),
     Setting("window", int, fields=("window_length",)),
     Setting("stride", int, fields=("stride",)),
@@ -126,14 +127,14 @@ _SETTINGS = {s.key: s for s in (
     Setting("learning_rate", float, fields=("train.learning_rate",)),
     Setting("epochs", int, fields=("train.epochs",)),
     Setting("batch_size", int, fields=("train.batch_size",)),
-    Setting("optimizer", str, choices=("adam", "sgd"), fields=("train.optimizer",)),
+    Setting("optimizer", str, choices=OPTIMIZERS, fields=("train.optimizer",)),
     Setting("clip_norm", float, fields=("train.clip_norm",)),
     Setting("hidden_size", int, fields=("train.hidden_size",)),
     Setting("lstms", int, fields=("train.n_lstms",)),
     Setting("lookback", int, fields=("train.lookback",)),
-    Setting("cell_activation", str, choices=("tanh", "relu"),
+    Setting("cell_activation", str, choices=CELL_ACTIVATIONS,
             fields=("train.cell_activation",)),
-    Setting("aggregation", str, choices=("mean", "median"), fields=("aggregation",)),
+    Setting("aggregation", str, choices=tuple(AGGREGATIONS), fields=("aggregation",)),
     Setting("normalize", bool, fields=("normalize",)),
     Setting("counts", str, "1:9", help="e.g. 1:9 or 1,3,5"),
     Setting("manifest", str, _REQUIRED, help="group manifest JSON"),

@@ -149,6 +149,13 @@ def check_window(n_frames: int, window_length: int, stride: int) -> None:
         )
 
 
+def check_choice(name: str, value, table) -> None:
+    """Raise unless ``value`` is one of ``table``'s entries (a named
+    choice's one table, such as ``nn.OPTIMIZERS``)."""
+    if value not in table:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, table))}")
+
+
 def window_view(frames: np.ndarray, window_length: int) -> np.ndarray:
     """Read-only (T - W + 1, W, D) view of a (T, D) matrix whose entry s is
     ``frames[s : s + W]``; nothing is copied."""

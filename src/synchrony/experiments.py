@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     InteractionSample,
     WindowedDataset,
+    check_choice,
     check_window,
     window_count,
 )
@@ -39,6 +40,9 @@ from .nn import (
     mse_loss,
     windows_to_batch,
 )
+
+AGGREGATIONS = {"mean": np.mean, "median": np.median}  # a sample's window predictions
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
-        if self.aggregation not in ("mean", "median"):
-            raise ValueError("aggregation must be 'mean' or 'median'")
+        check_choice("aggregation", self.aggregation, AGGREGATIONS)
         if self.fold_test_size is not None and self.fold_test_size < 1:
             raise ValueError("fold_test_size must be >= 1")
 
@@ -233,7 +236,7 @@ def predict_sample(
 ) -> float:
     """Window-level predictions, each from the last ``lookback`` frames of
     its window, aggregated to one score for the sample."""
-    aggregate = {"mean": np.mean, "median": np.median}.get(aggregation)
+    aggregate = AGGREGATIONS.get(aggregation)
     if aggregate is None:
         raise ValueError(f"unknown aggregation: {aggregation!r}")
     preds = forward_batch(

@@ -318,28 +318,26 @@ def squared_exp_cov(length: int) -> np.ndarray:
     return np.fft.ifft(spectrum).real
 
 
+# each demo preset's CouplingSpec fields beyond its squared-exponential
+# spectra and PRESET_COHERENCE
+PRESETS = {
+    "stationary": {},
+    "shifted": {"delay": 1},
+    "trended": {"f1": lambda t, x: x + np.sin(PRESET_TREND_OMEGA * t),
+                "f2": lambda t, x: x + PRESET_TREND_SLOPE * t},
+}
+
+
 def preset_spec(kind: str, length: int = 100) -> CouplingSpec:
     """CouplingSpec behind the named demo preset."""
+    if kind not in PRESETS:
+        raise ValueError(f"unknown preset kind: {kind!r}")
     base = squared_exp_cov(length)
-    cxy = PRESET_COHERENCE * base
-    if kind == "stationary":
-        return CouplingSpec(length, base, base.copy(), cxy)
-    if kind == "shifted":
-        return CouplingSpec(length, base, base.copy(), cxy, delay=1)
-    if kind == "trended":
-        return CouplingSpec(
-            length,
-            base,
-            base.copy(),
-            cxy,
-            f1=lambda t, x: x + np.sin(PRESET_TREND_OMEGA * t),
-            f2=lambda t, x: x + PRESET_TREND_SLOPE * t,
-        )
-    raise ValueError(f"unknown preset kind: {kind!r}")
+    return CouplingSpec(length, base, base.copy(), PRESET_COHERENCE * base, **PRESETS[kind])
 
 
 def preset_pairs(kind: str, seed, length: int = 100) -> GeneratedPair:
-    """Demo pairs: stationary, shifted (delay 1), or trended."""
+    """Demo pairs of the named ``PRESETS`` entry."""
     return spectral_pair_gen(preset_spec(kind, length), seed, coupling=PRESET_COHERENCE)
 
 

@@ -194,9 +194,9 @@ def group_to_sample(
 
 
 def load_annotation_csv(path) -> list[AnnotationSet]:
-    """Annotation CSV (group_id,labeler_id,score; UTF-8 text, header
-    optional) grouped by group. An error names the path and, when a line
-    is at fault, the file line."""
+    """Annotation CSV (rows of exactly three cells, group_id,labeler_id,score;
+    UTF-8 text, header optional) grouped by group. An error names the path
+    and, when a line is at fault, the file line."""
     lines = _text_lines(path)
     if not lines:
         raise IngestError(f"{path}: empty file")
@@ -205,10 +205,11 @@ def load_annotation_csv(path) -> list[AnnotationSet]:
     try:
         for row in rows:
             n = rows.line_num
-            if n == 1 and [h.strip() for h in row[:3]] == ["group_id", "labeler_id", "score"]:
+            if len(row) != 3:
+                raise IngestError(f"line {n}: {'short' if len(row) < 3 else 'long'} row: "
+                                  f"{len(row)} cells, need 3")
+            if n == 1 and [h.strip() for h in row] == ["group_id", "labeler_id", "score"]:
                 continue
-            if len(row) < 3:
-                raise IngestError(f"line {n}: short row")
             gid, labeler = row[0].strip(), row[1].strip()
             # the frame CSV's number rule; an empty cell is passed as " ",
             # which loadtxt rejects, as it would skip "" as an empty row
@@ -242,8 +243,11 @@ def aggregate_annotations(
     whose remaining-score variance exceeds ``variance_threshold`` are
     flagged for re-annotation, not re-scored.
 
-    Returns (per-group labels, flagged group ids, removed labeler id).
+    Returns (per-group labels, flagged group ids, removed labeler id). A
+    NaN or negative ``variance_threshold`` raises IngestError.
     """
+    if not variance_threshold >= 0.0:  # false for NaN too
+        raise IngestError(f"variance threshold must be >= 0, not {variance_threshold!r}")
     if not sets:
         raise IngestError("no annotation sets")
     labelers = sorted(sets[0].scores)

@@ -62,9 +62,8 @@ operands and the order of every operation:
   frames per GEMM into that step's block of ``gates``, never for all T
   steps at once; a row of a GEMM with at least two rows has the bits of
   the same row in the oracle's (T * B)-row GEMM. A one-row product goes
-  through GEMV, whose bits differ, so at B = 1 one GEMM projects two
-  steps into a buffer of their own (the last two overlap when T is odd);
-  only T = B = 1 projects one row, as the oracle does;
+  through GEMV, whose bits differ, so at B = 1 one GEMM projects every
+  step into a (n, T, 4H) buffer of its own, the oracle's own GEMM;
 - the rows of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
   multiplied by -1 once per call. That is exact, and rounding is
   symmetric in sign, so those gates' pre-activations come out as exactly
@@ -149,11 +148,11 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import WindowedDataset, window_view
+from .core import WindowedDataset, check_choice, window_view
 
 DEFAULT_LOOKBACK = 30
 WORKSPACE_ALIGN = 64  # bytes; a cache line, and the widest SIMD load
@@ -167,6 +166,9 @@ SPLIT_MIN_CHUNKS = 6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+OPTIMIZERS = ("adam", "sgd")
+ARRAYS = ("wx", "rh", "b", "head_w")  # the parameter arrays, in model-file order
+_DIMS = ("n_lstms", "hidden_size", "input_size")  # what their shapes are made of
 
 
 class ModelFormatError(ValueError):
@@ -175,6 +177,20 @@ class ModelFormatError(ValueError):
 
 def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
+
+
+_CELL_ACT = {"tanh": np.tanh, "relu": _relu}  # the cell activation, both passes
+CELL_ACTIVATIONS = tuple(_CELL_ACT)
+
+
+def _shapes(n_lstms: int, hidden_size: int, input_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each of ``ARRAYS``; a dimension below 1 raises ValueError."""
+    for name, size in zip(_DIMS, (n_lstms, hidden_size, input_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, not {size!r}")
+    k = 4 * hidden_size
+    return dict(zip(ARRAYS, ((n_lstms, k, input_size), (n_lstms, k, hidden_size),
+                             (n_lstms, k), (n_lstms * hidden_size,))))
 
 
 @dataclass(frozen=True)
@@ -194,15 +210,12 @@ class SynchronyModel:
     cell_activation: str = "tanh"
 
     def __post_init__(self):
-        n, k, d = self.wx.shape
-        h = k // 4
-        if k != 4 * h or self.rh.shape != (n, k, h) or self.b.shape != (n, k):
-            raise ValueError("inconsistent LSTM bank shapes")
-        if self.head_w.shape != (n * h,):
-            raise ValueError("head dimension must be n_lstms * hidden_size")
-        if self.cell_activation not in ("tanh", "relu"):
-            raise ValueError("cell_activation must be 'tanh' or 'relu'")
-        for arr in (self.wx, self.rh, self.b, self.head_w, self.head_b):
+        shapes = {k: getattr(self, k).shape for k in ARRAYS}
+        n, k, d = shapes["wx"]
+        if shapes != _shapes(n, k // 4, d):
+            raise ValueError(f"inconsistent LSTM bank shapes: {shapes}")
+        check_choice("cell_activation", self.cell_activation, CELL_ACTIVATIONS)
+        for arr in self.params().values():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite parameters")
 
@@ -219,23 +232,11 @@ class SynchronyModel:
         return self.wx.shape[2]
 
     def params(self) -> dict[str, np.ndarray]:
-        return {
-            "wx": self.wx,
-            "rh": self.rh,
-            "b": self.b,
-            "head_w": self.head_w,
-            "head_b": np.array([self.head_b]),
-        }
+        """``ARRAYS`` by name, then ``head_b`` as a one-element array."""
+        return {**{k: getattr(self, k) for k in ARRAYS}, "head_b": np.array([self.head_b])}
 
     def with_params(self, p: dict[str, np.ndarray]) -> "SynchronyModel":
-        return SynchronyModel(
-            wx=p["wx"],
-            rh=p["rh"],
-            b=p["b"],
-            head_w=p["head_w"],
-            head_b=float(p["head_b"][0]),
-            cell_activation=self.cell_activation,
-        )
+        return replace(self, **{k: p[k] for k in ARRAYS}, head_b=float(p["head_b"][0]))
 
 
 @dataclass(frozen=True)
@@ -269,10 +270,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0, not {getattr(self, name)!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, not {self.epochs!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.cell_activation not in ("tanh", "relu"):
-            raise ValueError("cell_activation must be 'tanh' or 'relu'")
+        check_choice("optimizer", self.optimizer, OPTIMIZERS)
+        check_choice("cell_activation", self.cell_activation, CELL_ACTIVATIONS)
 
 
 def init_model(
@@ -285,16 +284,17 @@ def init_model(
     """Xavier-uniform weights, forget-gate bias +1, other biases 0."""
     rng = np.random.default_rng(seed)
     h, d = hidden_size, input_size
+    shapes = _shapes(n_lstms, h, d)
 
-    def xavier(shape, fan_in, fan_out):
+    def xavier(name, fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=shape)
+        return rng.uniform(-lim, lim, size=shapes[name])
 
-    wx = xavier((n_lstms, 4 * h, d), d, h)
-    rh = xavier((n_lstms, 4 * h, h), h, h)
-    b = np.zeros((n_lstms, 4 * h))
+    wx = xavier("wx", d, h)
+    rh = xavier("rh", h, h)
+    b = np.zeros(shapes["b"])
     b[:, h : 2 * h] = 1.0
-    head_w = xavier((n_lstms * h,), n_lstms * h, 1)
+    head_w = xavier("head_w", n_lstms * h, 1)
     return SynchronyModel(wx, rh, b, head_w, 0.0, cell_activation)
 
 
@@ -306,15 +306,19 @@ def windows_to_batch(
     array, and their (B,) labels; the one place window data is copied."""
     w = dataset.window_length
     lookback = w if lookback is None else lookback
-    if lookback <= 0:
-        raise ValueError(f"lookback must be positive, not {lookback}")
-    if w < lookback:
-        raise ValueError("window shorter than lookback")
+    _check_lookback(w, lookback)
     pick = slice(None) if idx is None else idx
     x = _gather(dataset, lookback, pick)
     if len(x) == 0:
         raise ValueError("empty batch")
     return x, dataset.labels[pick]
+
+
+def _check_lookback(window_length: int, lookback: int) -> None:
+    if lookback <= 0:
+        raise ValueError(f"lookback must be positive, not {lookback}")
+    if window_length < lookback:
+        raise ValueError("window shorter than lookback")
 
 
 def _gather(dataset: WindowedDataset, lookback: int, pick) -> np.ndarray:
@@ -351,9 +355,6 @@ class Workspace:
             skip = (-raw.ctypes.data % WORKSPACE_ALIGN) // 8
             buf = self._buffers[name] = raw[skip : skip + size]
         return buf[:size].reshape(shape)
-
-
-_CELL_ACT = {"tanh": np.tanh, "relu": _relu}  # the cell activation, both passes
 
 
 def _act_deriv(name: str, post: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -403,13 +404,13 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     bias = bias[:, :bsz]
 
     # frames time-major; a step's input projection goes into its gates block,
-    # except at B = 1, where one GEMM projects two steps into xw, as a
-    # one-row GEMM takes another BLAS path and other bits
+    # except at B = 1, where one GEMM projects every step into xw, as the
+    # oracle does, since a one-row GEMM takes another BLAS path and other bits
     xt = ws._get("x_time_major", (t, bsz, d))
     np.copyto(xt, x.transpose(1, 0, 2))
-    span = min(t, 2 if bsz == 1 else 1)
-    xw = ws._get("xw", (n, span, 4 * hh)) if bsz == 1 else None
-    first = -span  # first step in the projection
+    xw = None
+    if bsz == 1:
+        xw = np.matmul(xt.reshape(t, d), wx_t, out=ws._get("xw", (n, t, 4 * hh)))
 
     # internal layout (n_lstms, batch, ...) so each step is a batched GEMM;
     # a_gate is the (4, n, B, H) gate-major view of the weights' i, f, g, o
@@ -425,14 +426,12 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
         for ti in range(t):
             s, prev, cur = ti % keep, ti % (keep + 1), (ti + 1) % (keep + 1)
             step = gates[s]
-            proj = step.reshape(n, bsz, 4 * hh) if xw is None else xw
-            if ti >= first + span:  # the last span overlaps when t is odd
-                first = min(ti, t - span)
-                np.matmul(xt[first : first + span].reshape(span * bsz, d), wx_t,
-                          out=proj)
-            row = (ti - first) * bsz
+            if xw is None:
+                proj = np.matmul(xt[ti], wx_t, out=step.reshape(n, bsz, 4 * hh))
+            else:
+                proj = xw[:, ti : ti + 1]
             np.matmul(h, rh_t, out=a)
-            np.add(proj[:, row : row + bsz], a, out=a)
+            np.add(proj, a, out=a)
             np.add(a, bias, out=a)
             # sigmoid(a) = 1 / (1 + exp(-a)) of i, f and o from their
             # negated pre-activations; where exp overflows it is exactly 0
@@ -509,10 +508,7 @@ def forward_batch(
     if len(x.shape) != 3 or x.shape[2] != model.input_size:
         raise ValueError("dimension mismatch: batch must be (B, T, input_size)")
     bsz, t, _ = x.shape
-    if lookback <= 0:
-        raise ValueError(f"lookback must be positive, not {lookback}")
-    if t < lookback:
-        raise ValueError("window shorter than lookback")
+    _check_lookback(t, lookback)
     if isinstance(x, WindowedDataset):
         dataset = x
 
@@ -631,14 +627,7 @@ def loss_and_grads(
         g_b += np.sum(da, axis=1, out=step_b)
         np.matmul(da, model.rh, out=dh)
         np.multiply(dc, f, out=dc)
-    grads = {
-        "wx": g_wx,
-        "rh": g_rh,
-        "b": g_b,
-        "head_w": g_head_w,
-        "head_b": np.array([g_head_b]),
-    }
-    return loss, grads
+    return loss, dict(zip(ARRAYS, (g_wx, g_rh, g_b, g_head_w)), head_b=np.array([g_head_b]))
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -697,18 +686,15 @@ def save_model(model: SynchronyModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "n_lstms": model.n_lstms,
-        "hidden_size": model.hidden_size,
-        "input_size": model.input_size,
+        **{k: getattr(model, k) for k in _DIMS},
         "cell_activation": model.cell_activation,
         "dtype": "float64",
         "head_b": model.head_b,
         "arrays": {
             k: base64.b64encode(
-                np.ascontiguousarray(v, dtype=np.float64).tobytes()
+                np.ascontiguousarray(getattr(model, k), dtype=np.float64).tobytes()
             ).decode("ascii")
-            for k, v in (("wx", model.wx), ("rh", model.rh),
-                         ("b", model.b), ("head_w", model.head_w))
+            for k in ARRAYS
         },
     }
     with open(path, "w") as fh:
@@ -728,33 +714,26 @@ def load_model(path) -> SynchronyModel:
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version: {doc.get('version')!r}")
     try:
-        n, h, d = int(doc["n_lstms"]), int(doc["hidden_size"]), int(doc["input_size"])
+        dims = {k: doc[k] for k in _DIMS}
+        for k, value in dims.items():
+            if type(value) is not int:  # not a bool, a string or a float
+                raise ModelFormatError(f"{k} must be an integer, not {value!r}")
+        if type(doc["head_b"]) not in (int, float):
+            raise ModelFormatError(f"head_b must be a number, not {doc['head_b']!r}")
         if doc["dtype"] != "float64":
             raise ModelFormatError(f"unsupported payload dtype: {doc['dtype']!r}")
-        shapes = {
-            "wx": (n, 4 * h, d),
-            "rh": (n, 4 * h, h),
-            "b": (n, 4 * h),
-            "head_w": (n * h,),
-        }
         arrays = {}
-        for k, shape in shapes.items():
+        for k, shape in _shapes(**dims).items():
             raw = base64.b64decode(doc["arrays"][k])
             flat = np.frombuffer(raw, dtype=np.float64)
-            if flat.size != int(np.prod(shape)):
+            if flat.size != math.prod(shape):
                 raise ModelFormatError(
                     f"dimension corruption: {k} payload has {flat.size} values, "
-                    f"header implies {int(np.prod(shape))}"
+                    f"header implies {math.prod(shape)}"
                 )
             arrays[k] = flat.reshape(shape).copy()
-        return SynchronyModel(
-            wx=arrays["wx"],
-            rh=arrays["rh"],
-            b=arrays["b"],
-            head_w=arrays["head_w"],
-            head_b=float(doc["head_b"]),
-            cell_activation=str(doc["cell_activation"]),
-        )
+        return SynchronyModel(**arrays, head_b=float(doc["head_b"]),
+                              cell_activation=str(doc["cell_activation"]))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -186,8 +186,8 @@ def test_step_bit_identical_with_fresh_workspace(activation, bsz):
                                            (1, 29), (7, 29)])
 def test_step_bit_identical_at_small_batches_and_odd_lookbacks(activation, bsz, lookback):
     """The input projection runs per step: B = 2 is its smallest GEMM. At
-    B = 1 two steps share one GEMM, the last two overlapping at an odd
-    lookback, and a lookback of 1 leaves one row, as in the oracle."""
+    B = 1 one GEMM projects every step, the oracle's own GEMM, so a
+    lookback of 1 leaves one row, as in the oracle."""
     model = init_model(3, n_lstms=2, hidden_size=5, seed=4, cell_activation=activation)
     assert_step_identical(model, *batch(bsz, d=3), None, lookback=lookback)
 

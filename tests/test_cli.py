@@ -316,11 +316,11 @@ def _rewrite_au_csv(name, change):
     return fault
 
 
-def _annotate_on(body: bytes):
+def _annotate_on(body: bytes, *flags: str):
     def argv(tmp_path, monkeypatch):
         scores = tmp_path / "ann.csv"
         scores.write_bytes(body)
-        return ["annotate", "--scores", str(scores)]
+        return ["annotate", "--scores", str(scores), *flags]
     return argv
 
 
@@ -376,6 +376,8 @@ FAULTS = {
         "g1_p1.csv", lambda lines: ["frame,AU01,AU01,AU04,AU06", *lines[1:]])),
     "annotate-byte-not-utf8": _annotate_on(b"g1,l1,2\ng1,l2,2\ng1,l\xff3,2\n"),
     "annotate-short-row": _annotate_on(b"g1,l1,2\ng1,l2\n"),
+    "annotate-nan-threshold": _annotate_on(
+        b"g1,l1,1\ng1,l2,3\ng1,l3,5\ng2,l1,2\ng2,l2,2\ng2,l3,2\n", "--threshold", "nan"),
 }
 
 
@@ -400,6 +402,7 @@ NAMED = {
     "ingest-au-named-twice": "g1_p1.csv: line 1: column 'AU01' named twice",
     "annotate-byte-not-utf8": "ann.csv: line 3: not UTF-8 text",
     "annotate-short-row": "ann.csv: line 2: short row",
+    "annotate-nan-threshold": "variance threshold must be >= 0, not nan",
 }
 
 

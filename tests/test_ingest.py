@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,7 @@ ANNOTATION_CSV_FAULTS = {
     "byte-not-utf8": (_annotation(["group_id,labeler_id,score", "g1,l1,3", "g1,l\xff2,4"]),
                       "line 3: not UTF-8 text"),
     "short-row": (_annotation(["g1,l1,3", "g1,l2"], end="\r\n"), "line 2: short row"),
+    "extra-cell": (_annotation(["g1,l1,3", "g1,l2,3,5"]), "line 2: long row: 4 cells, need 3"),
     "blank-line": (_annotation(["g1,l1,3", "", "g1,l2,4"]), "line 2: short row"),
     "unparsable-score": (_annotation(["group_id,labeler_id,score", "g1,l1,3", "g1,l2,high"]),
                          "line 3: unparsable score 'high'"),
@@ -376,6 +378,16 @@ def test_zero_threshold_flags_disagreement():
     })
     _, flagged, _ = aggregate_annotations(sets, variance_threshold=0.0)
     assert flagged == ["g2"]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_a_nan_or_negative_threshold_is_rejected(threshold):
+    """A NaN threshold used to flag nothing, as every comparison with it is
+    false."""
+    sets = full_sets({"g1": {"l1": 1.0, "l2": 3.0, "l3": 5.0}})
+    with pytest.raises(IngestError, match=re.escape(
+            f"variance threshold must be >= 0, not {threshold!r}")):
+        aggregate_annotations(sets, variance_threshold=threshold)
 
 
 def test_exactly_one_labeler_removed_labels_in_range():

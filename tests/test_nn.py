@@ -451,6 +451,36 @@ def test_load_rejects_a_non_finite_head_bias(tmp_path, head_b):
         load_model(path)
 
 
+# (field, value, arrays whose payload the value empties): each loaded at the
+# parent, through int() and float() or as an empty bank that predicts head_b
+LOAD_FAULTS = {
+    "zero-lstms": ("n_lstms", 0, nn.ARRAYS),
+    "zero-hidden-size": ("hidden_size", 0, nn.ARRAYS),
+    "zero-input-size": ("input_size", 0, ("wx",)),
+    "string-count": ("n_lstms", "1", ()),
+    "bool-count": ("hidden_size", True, ()),
+    "fractional-count": ("input_size", 1.9, ()),
+    "string-head-bias": ("head_b", "0.5", ()),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_FAULTS))
+def test_load_rejects_what_training_never_writes(tmp_path, case):
+    """A count is a JSON integer >= 1 and head_b a JSON number; the error
+    names the field."""
+    import json
+
+    field, value, emptied = LOAD_FAULTS[case]
+    path = tmp_path / "model.json"
+    save_model(init_model(1, n_lstms=1, hidden_size=1, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    doc["arrays"].update(dict.fromkeys(emptied, ""))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"{field} must be"):
+        load_model(path)
+
+
 def test_load_rejects_float32_payloads(tmp_path):
     import base64
     import json
