@@ -58,27 +58,38 @@ The step is bit-identical to the allocating version it replaced, kept in
 ``tests/test_bit_identity.py`` as the oracle, because it keeps the
 operands and the order of every operation:
 
+- each step's pre-activation is formed gate-major, as one contiguous
+  (4, n, B, H) block in step order i, f, o, g: the weights' columns are
+  put in that order once per call, and each of the step's two GEMMs is
+  split along its output columns into one (B, H) product per gate and
+  LSTM. At B >= 2 a row of such a product has the bits of the same row of
+  the unsplit (n, B, 4H) product (measured with one and two OpenBLAS
+  threads at 6 x 32 LSTMs and B from 2 to 128); the transposed
+  rh @ h^T gives different bits;
 - the input projection x @ wx^T is formed per step, one (B, D) block of
   frames per GEMM into that step's block of ``gates``, never for all T
   steps at once; a row of a GEMM with at least two rows has the bits of
-  the same row in the oracle's (T * B)-row GEMM. A one-row product goes
-  through GEMV, whose bits differ, so at B = 1 one GEMM projects every
-  step into a (n, T, 4H) buffer of its own, the oracle's own GEMM;
-- the rows of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
+  the same row in the oracle's (T * B)-row GEMM;
+- at B = 1 a product has one row and goes through GEMV, whose bits depend
+  on its output width (per-gate GEMVs gave other bits), so B = 1 keeps
+  the row layout: one GEMM projects every step into a (n, T, 4H) buffer
+  of its own, through a transposed view of the (n, 4H, D) weights, the
+  oracle's own GEMM (a contiguous (n, D, 4H) copy gave other bits at
+  T = 1), and the recurrent GEMV writes a (n, 1, 4H) row into the step's
+  block of ``gates``; the first add reads both through their gate-major
+  views;
+- the columns of ``wx``, ``rh`` and ``b`` for the i, f and o gates are
   multiplied by -1 once per call. That is exact, and rounding is
   symmetric in sign, so those gates' pre-activations come out as exactly
   -a and each step forms 1 / (1 + exp(-a)) without a negation pass (only
   a zero may differ in sign, and exp(-0) = exp(0));
-- the recurrent GEMM is h @ rh^T with shape (n, B, 4H); a gate-major
-  rh @ h^T gives different bits;
 - the pre-activation is summed as (x wx^T + h rh^T) + b, with b broadcast
-  to (n, B, 4H) once per call, so each step's bias add is contiguous;
-- exp and the cell activation read the gates' strided columns of the
-  pre-activation through one (4, n, B, H) view, two exp calls (i and f
-  together, then o) and the cell activation per step; one add and one
-  divide then finish all three sigmoids over their contiguous block of
-  ``gates``. Each element so goes through the same operations as in the
-  oracle, and every elementwise product is formed in the same order;
+  to (4, n, B, H) once per call, so each step's bias add is contiguous;
+- one exp reads the contiguous i, f and o block of the pre-activation and
+  writes their block of ``gates``, the cell activation reads the g block;
+  one add and one divide then finish all three sigmoids. Each element so
+  goes through the same operations as in the oracle, and every
+  elementwise product is formed in the same order;
 - the backward pass builds each gate's gradient in contiguous scratch and
   writes it into its slice of one (n, B, 4H) array, which the gradient
   GEMMs and the batch sum read exactly as the concatenated array before.
@@ -375,18 +386,28 @@ def _sigmoid_grad(x: np.ndarray, s: np.ndarray, scratch: np.ndarray,
     np.multiply(x, scratch, out=out)
 
 
+def _gate_major(rows: np.ndarray) -> np.ndarray:
+    """The (4, n, R, H) gate-major view of an (n, R, 4H) array."""
+    n, r, k = rows.shape
+    return rows.reshape(n, r, 4, k // 4).transpose(2, 0, 1, 3)
+
+
 def _fold_signs(model: SynchronyModel, ws: Workspace, bsz: int):
-    """wx^T and rh^T with the rows of the i, f and o gates negated (exact),
-    so those gates' pre-activations come out as -a, which is what the
-    sigmoid reads, and b so negated and broadcast to (n, bsz, 4H) in
-    ``ws``. Formed once per call; every chunk and lane reads them."""
+    """wx^T and rh^T with their columns in step order i, f, o, g and those
+    of the three sigmoid gates negated (exact), so those gates'
+    pre-activations come out as -a, which is what the sigmoid reads: row
+    layout, (n, D, 4H) and (n, H, 4H), whose ``_gate_major`` views are the
+    per-gate weights; and b so ordered, negated and broadcast to the
+    gate-major (4, n, bsz, H) in ``ws``. Formed once per call; every chunk
+    and lane reads them."""
     hh = model.hidden_size
+    order = np.r_[: 2 * hh, 3 * hh : 4 * hh, 2 * hh : 3 * hh]  # i, f, g, o -> i, f, o, g
     sign = np.ones(4 * hh)
-    sign[: 2 * hh] = sign[3 * hh :] = -1.0
-    wx_t = (model.wx * sign[:, None]).transpose(0, 2, 1)
-    rh_t = np.ascontiguousarray((model.rh * sign[:, None]).transpose(0, 2, 1))
-    bias = ws._get("bias", (model.n_lstms, bsz, 4 * hh))
-    np.multiply(model.b[:, None, :], sign, out=bias)
+    sign[: 3 * hh] = -1.0
+    wx_t = (model.wx[:, order] * sign[:, None]).transpose(0, 2, 1)
+    rh_t = np.ascontiguousarray((model.rh[:, order] * sign[:, None]).transpose(0, 2, 1))
+    bias = ws._get("bias", (4, model.n_lstms, bsz, hh))
+    np.copyto(bias, _gate_major(model.b[:, None, order] * sign))
     return wx_t, rh_t, bias
 
 
@@ -401,22 +422,25 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
     n, hh = model.n_lstms, model.hidden_size
     act = _CELL_ACT[model.cell_activation]
     wx_t, rh_t, bias = folded
-    bias = bias[:, :bsz]
+    bias = bias[:, :, :bsz]
 
-    # frames time-major; a step's input projection goes into its gates block,
-    # except at B = 1, where one GEMM projects every step into xw, as the
-    # oracle does, since a one-row GEMM takes another BLAS path and other bits
+    # frames time-major; each step's two GEMMs write gate-major blocks, a
+    # GEMM per gate and LSTM. At B = 1 a product is a GEMV, whose bits
+    # depend on its output width, so the weights keep their row layout:
+    # one GEMM projects every step into xw and the recurrent GEMV writes a
+    # (n, 1, 4H) row into the step's gates block, as the oracle does
     xt = ws._get("x_time_major", (t, bsz, d))
     np.copyto(xt, x.transpose(1, 0, 2))
     xw = None
     if bsz == 1:
         xw = np.matmul(xt.reshape(t, d), wx_t, out=ws._get("xw", (n, t, 4 * hh)))
+    else:
+        wx_t, rh_t = _gate_major(wx_t), _gate_major(rh_t)
 
-    # internal layout (n_lstms, batch, ...) so each step is a batched GEMM;
-    # a_gate is the (4, n, B, H) gate-major view of the weights' i, f, g, o
-    a = ws._get("a", (n, bsz, 4 * hh))
-    a_gate = a.reshape(n, bsz, 4, hh).transpose(2, 0, 1, 3)
-    # step-major, sigmoid gates first, so one add and one divide cover all three
+    # internal layout (4, n_lstms, batch, ...) so each step is a batched GEMM
+    a = ws._get("a", (4, n, bsz, hh))  # the pre-activation, gate-major
+    # step-major, sigmoid gates first, so one exp, one add and one divide
+    # cover all three
     gates = ws._get("gates", (keep, 4, n, bsz, hh))  # i, f, o, g
     cs = ws._get("c", (keep + 1, n, bsz, hh))
     h = ws._get("h", (n, bsz, hh))
@@ -427,21 +451,21 @@ def _run_bank(model: SynchronyModel, x: np.ndarray, ws: Workspace, keep: int, fo
             s, prev, cur = ti % keep, ti % (keep + 1), (ti + 1) % (keep + 1)
             step = gates[s]
             if xw is None:
-                proj = np.matmul(xt[ti], wx_t, out=step.reshape(n, bsz, 4 * hh))
+                proj = np.matmul(xt[ti], wx_t, out=step)
+                rec = np.matmul(h, rh_t, out=a)
             else:
-                proj = xw[:, ti : ti + 1]
-            np.matmul(h, rh_t, out=a)
-            np.add(proj, a, out=a)
+                proj = _gate_major(xw[:, ti : ti + 1])
+                rec = _gate_major(np.matmul(h, rh_t, out=step.reshape(n, 1, 4 * hh)))
+            np.add(proj, rec, out=a)
             np.add(a, bias, out=a)
             # sigmoid(a) = 1 / (1 + exp(-a)) of i, f and o from their
             # negated pre-activations; where exp overflows it is exactly 0
             i, f, o, g = step
             sig = step[:3]
-            np.exp(a_gate[:2], out=step[:2])
-            np.exp(a_gate[3], out=o)
+            np.exp(a[:3], out=sig)
             np.add(1.0, sig, out=sig)
             np.divide(1.0, sig, out=sig)
-            act(a_gate[2], out=g)
+            act(a[3], out=g)
             np.multiply(f, cs[prev], out=cs[cur])
             np.multiply(i, g, out=h)
             np.add(cs[cur], h, out=cs[cur])
@@ -711,8 +735,9 @@ def load_model(path) -> SynchronyModel:
         raise ModelFormatError(f"unreadable model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a synchrony model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version: {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_VERSION:  # not true, not 1.0
+        raise ModelFormatError(f"unsupported model version: {version!r}")
     try:
         dims = {k: doc[k] for k in _DIMS}
         for k, value in dims.items():
@@ -724,7 +749,7 @@ def load_model(path) -> SynchronyModel:
             raise ModelFormatError(f"unsupported payload dtype: {doc['dtype']!r}")
         arrays = {}
         for k, shape in _shapes(**dims).items():
-            raw = base64.b64decode(doc["arrays"][k])
+            raw = base64.b64decode(doc["arrays"][k], validate=True)
             flat = np.frombuffer(raw, dtype=np.float64)
             if flat.size != math.prod(shape):
                 raise ModelFormatError(

@@ -192,6 +192,26 @@ def test_step_bit_identical_at_small_batches_and_odd_lookbacks(activation, bsz, 
     assert_step_identical(model, *batch(bsz, d=3), None, lookback=lookback)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("bsz, lookback",
+                         [*((b, LOOKBACK) for b in (2, 3, 21, 105, 112, 113, 128)),
+                          (1, 1), (1, 2), (1, LOOKBACK)])
+def test_step_bit_identical_at_the_benchmark_shape(activation, bsz, lookback):
+    """6 x 32 LSTMs, as the benchmark scores them, at the chunk sizes of
+    its batches and around them: from B = 2 each step's GEMMs write one
+    block per gate, at B = 1 the row layout holds (a GEMV's bits depend
+    on its output width). The cached final hidden states and predictions,
+    the loss, the gradients and the chunked predictions match the oracle."""
+    model = init_model(2, n_lstms=6, hidden_size=32, seed=7, cell_activation=activation)
+    x, y = batch(bsz)
+    pred, cache = forward_batch(model, x, lookback=lookback, want_cache=True)
+    ref_pred, ref_cache = reference_forward_batch(model, x, lookback=lookback,
+                                                  want_cache=True)
+    assert np.array_equal(pred, ref_pred)
+    assert np.array_equal(cache["hcat"], ref_cache["hcat"])
+    assert_step_identical(model, x, y, None, lookback=lookback)
+
+
 @pytest.mark.parametrize("reuse", [True, False])
 def test_step_bit_identical_where_h_or_the_projection_aliases(reuse):
     """At n_lstms = 1 the cached hcat is a view of the one h buffer, which
@@ -456,8 +476,8 @@ import hashlib, sys
 import numpy as np
 from synchrony.experiments import ExperimentConfig, kfold_cv, pair_to_sample, predict_sample
 from synchrony.generate import gen_dataset
-from synchrony.nn import (INFER_CHUNK, SPLIT_MIN_CHUNKS, TrainConfig, init_model,
-                          loss_and_grads)
+from synchrony.nn import (INFER_CHUNK, SPLIT_MIN_CHUNKS, TrainConfig, forward_batch,
+                          init_model, loss_and_grads)
 
 out = hashlib.sha256()
 rng = np.random.default_rng(0)
@@ -474,6 +494,11 @@ n_long = SPLIT_MIN_CHUNKS * INFER_CHUNK + 1
 assert n_long <= 2050, n_long
 long = pair_to_sample(gen_dataset(1, n_long + 49, (0.1, 0.9), 4)[0], "long")
 out.update(np.float64(predict_sample(model, long, 50, 1, lookback=30)).tobytes())
+# one window, where the products are GEMVs, and one chunk of the benchmark's
+# 901-window batches
+one = pair_to_sample(gen_dataset(1, 50, (0.1, 0.9), 5)[0], "one")
+out.update(np.float64(predict_sample(model, one, 50, 1, lookback=30)).tobytes())
+out.update(forward_batch(model, rng.standard_normal((113, 40, 2)), 30).tobytes())
 samples = [pair_to_sample(p, f"pair_{i}") for i, p in
            enumerate(gen_dataset(8, 200, (0.1, 0.9), 3))]
 cfg = ExperimentConfig(window_length=50, stride=10, n_folds=4, seed=2,

@@ -187,6 +187,24 @@ def test_frame_csv_reads_what_loadtxt_reads(tmp_path, body):
     assert np.array_equal(values, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:])
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([b"", b"frame,x,y\n", b"frame,x\r\n0,"]), st.binary())
+def test_frame_csv_reads_any_bytes_or_raises_ingest_error(tmp_path, head, body):
+    """Whatever the bytes, below a valid header or none, the reader returns
+    finite (T, C) values under C names or raises IngestError with the path
+    in front; never another exception."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(head + body)
+    try:
+        names, values = read_frame_csv(path)
+    except IngestError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert values.dtype == np.float64 and values.ndim == 2
+    assert values.shape[0] >= 1 and values.shape[1] == len(names) >= 1
+    assert np.all(np.isfinite(values))
+
+
 def _annotation(rows, end="\n"):
     return "".join(row + end for row in rows)
 

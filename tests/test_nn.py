@@ -205,7 +205,7 @@ def test_inference_workspace_does_not_grow_with_the_batch(monkeypatch):
     m = init_model(d, n_lstms=n, hidden_size=hh, seed=0)
     x, _ = random_batch(40 * INFER_CHUNK, w=t, seed=1)
     # one step of one chunk: its frames (T, B, D); the pre-activation and
-    # the bias, (n, B, 4H) each; the four gates (which first hold the
+    # the bias, (4, n, B, H) each; the four gates (which first hold the
     # projection), two c and one h, (n, B, H) each
     per_chunk = 8 * INFER_CHUNK * (t * d + n * (2 * 4 * hh + 7 * hh))
 
@@ -434,6 +434,36 @@ def test_load_version_mismatch(tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_rejects_a_version_that_only_equals_1(tmp_path, version):
+    """The version is the JSON integer MODEL_VERSION; true and 1.0 compare
+    equal to 1 in Python but are not it."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(init_model(2, n_lstms=1, hidden_size=2, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("payload", ["!!{}#*", "{} ", "{}\n"])
+def test_load_rejects_a_payload_outside_the_base64_alphabet(tmp_path, payload):
+    """A character outside the base64 alphabet makes the file malformed;
+    it is not dropped."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(init_model(2, n_lstms=1, hidden_size=2, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["arrays"]["b"] = payload.format(doc["arrays"]["b"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)
 
 
