@@ -33,6 +33,13 @@ per-call, per-driver form: the generator fills the (2, len) draw in the
 order of two consecutive len-draws, each FFT row is computed as a
 separate transform, and every product and sum keeps its operand order.
 
+The Monte-Carlo oracle ``empirical_cross_cov`` holds no (N, T) array of
+the ensemble. It sums over the row-major flat index of the stacked series
+in the order NumPy's pairwise reduce adds one contiguous array (Higham
+1993), copying each node of at most ``_LEAF`` elements into a scratch
+buffer for one reduce, so its float is that of ``mean`` over the stacked
+arrays.
+
 Synthetic couplings, of pairs and of latent-driver groups, are drawn from
 the one prior U[COUPLING_RANGE]; ``gen_dataset`` alone takes another range.
 """
@@ -56,6 +63,7 @@ COHERENCE_TOL = 1e-9
 # which bounds |fft(c)|
 CROSS_SPECTRUM_IMAG_TOL = 1e-9
 COUPLING_RANGE = (0.1, 0.9)  # (lo, hi) of the uniform coupling prior
+_LEAF = 2**13  # elements in the largest sum node of empirical_cross_cov
 
 # Fig.-2-style preset constants
 PRESET_LENGTH_SCALE = 5.0
@@ -269,6 +277,39 @@ def gen_dataset(
     ]
 
 
+# recursive at module level: a recursive closure is a reference cycle, which
+# would keep the ensemble its leaf reads alive until the cyclic collector runs
+def _tree_sum(n: int, leaf: Callable[[int, int], np.ndarray], lo: int = 0) -> np.float64:
+    """The float ``np.add.reduce`` returns for a contiguous float64 array of
+    n elements, of which ``leaf(i, j)`` gives elements i..j-1 as one
+    contiguous array; ``lo`` offsets the range.
+
+    NumPy sums such an array over a fixed pairwise tree: a node of more than
+    128 elements splits at half its size rounded down to a multiple of 8, and
+    a node is summed alike alone or inside a larger array. Each node of at
+    most ``_LEAF`` elements is summed by one reduce over a copy. A reduce
+    returns 0.0 plus the node's sum, which differs from the sum only where
+    that is -0.0; so this tree's nodes are never -0.0 and differ from NumPy's
+    only in the sign of a zero, which the 0.0 NumPy adds at the root clears.
+    """
+    if n <= _LEAF:
+        return np.add.reduce(leaf(lo, lo + n))
+    half = n // 2
+    half -= half % 8
+    return _tree_sum(half, leaf, lo) + _tree_sum(n - half, leaf, lo + half)
+
+
+def _gather(series: Sequence[TimeSeries], lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Elements lo..hi-1 of the row-major (N, T) stack of ``series``, copied
+    into the front of ``out``."""
+    length = len(series[0])
+    first, last = lo // length, (hi - 1) // length
+    rows = [s.values for s in series[first:last + 1]]
+    rows[-1] = rows[-1][: hi - last * length]
+    rows[0] = rows[0][lo - first * length:]
+    return np.concatenate(rows, out=out[: hi - lo])
+
+
 def empirical_cross_cov(xs: Sequence[TimeSeries], ys: Sequence[TimeSeries]) -> float:
     """Ensemble-averaged lag-0 cross-covariance estimate.
 
@@ -276,31 +317,31 @@ def empirical_cross_cov(xs: Sequence[TimeSeries], ys: Sequence[TimeSeries]) -> f
     the estimator is unbiased up to O(1/(n_pairs * length)) and usable as
     a Monte-Carlo oracle for the generator.
 
-    It holds one (N, T) float64 array, plus one block of at most 64 rows:
-    the x mean is taken from the stacked x, the stacked y overwrites it and
-    is centred in place, and each block of centred x rows is multiplied
-    into it. The product stays one contiguous (N, T) array because
-    ``mean`` sums a contiguous array pairwise over all of its elements;
-    another layout or a split sum would change the result's bits.
+    It holds no (N, T) array, only two scratch buffers of at most ``_LEAF``
+    elements. Three passes run over the row-major flat index of the
+    ensemble: the x mean, the y mean, and the mean of the centred product
+    (x - mx) * (y - my). Each pass sums by ``_tree_sum``, which follows
+    NumPy's pairwise tree over nodes of at most ``_LEAF`` elements, so the
+    result has the bits of ``mean`` over the stacked (N, T) arrays.
     """
     if len(xs) != len(ys) or len(xs) == 0:
         raise ValueError("need equal non-zero numbers of x and y series")
     lengths = {len(s) for s in xs} | {len(s) for s in ys}
     if len(lengths) != 1:
         raise ValueError("mismatched lengths")
-    buf = np.stack([s.values for s in xs])
-    mx = buf.mean()
-    np.stack([s.values for s in ys], out=buf)
-    buf -= buf.mean()
-    step = 64  # rows per block
-    block = np.empty((min(len(xs), step), buf.shape[1]))
-    for lo in range(0, len(xs), step):
-        rows = buf[lo:lo + step]
-        xc = block[: len(rows)]
-        np.stack([s.values for s in xs[lo:lo + step]], out=xc)
+    n = len(xs) * lengths.pop()
+    xbuf, ybuf = np.empty(min(n, _LEAF)), np.empty(min(n, _LEAF))
+    mx = _tree_sum(n, lambda lo, hi: _gather(xs, lo, hi, xbuf)) / n
+    my = _tree_sum(n, lambda lo, hi: _gather(ys, lo, hi, xbuf)) / n
+
+    def centred_product(lo: int, hi: int) -> np.ndarray:
+        xc = _gather(xs, lo, hi, xbuf)
         xc -= mx
-        np.multiply(xc, rows, out=rows)
-    return float(buf.mean())
+        yc = _gather(ys, lo, hi, ybuf)
+        yc -= my
+        return np.multiply(xc, yc, out=xc)
+
+    return float(_tree_sum(n, centred_product) / n)
 
 
 def squared_exp_cov(length: int) -> np.ndarray:

@@ -19,7 +19,13 @@ from synchrony.experiments import (
     recovery_pairs,
     sweep_lstm_count,
 )
-from synchrony.generate import ScalarCovSpec, gen_dataset, pair_seeds, scalar_pair_gen
+from synchrony.generate import (
+    ScalarCovSpec,
+    empirical_cross_cov,
+    gen_dataset,
+    pair_seeds,
+    scalar_pair_gen,
+)
 from synchrony.ingest import AnnotationSet, aggregate_annotations, mean_average_deviation
 from synchrony.metrics import (
     build_report,
@@ -148,8 +154,6 @@ def run_fidelity(n_pairs=5000, length=1000):
             xs.append(pair.x)
             ys.append(pair.y)
             per_pair.append(float(np.mean(pair.x.values * pair.y.values)))
-        from synchrony.generate import empirical_cross_cov
-
         estimate = empirical_cross_cov(xs, ys)
         se = float(np.std(per_pair, ddof=1) / np.sqrt(n_pairs))
         rows.append((phi, estimate, se))

@@ -1,12 +1,17 @@
+import gc
 import hashlib
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from synchrony.core import TimeSeries
 from synchrony.generate import (
+    _LEAF,
     CouplingSpec,
     ScalarCovSpec,
     empirical_cross_cov,
@@ -331,8 +336,6 @@ def test_gen_dataset_rejects_empty_range():
 
 def test_cross_cov_self_is_variance():
     rng = np.random.default_rng(0)
-    from synchrony.core import TimeSeries
-
     xs = [TimeSeries(rng.standard_normal(500)) for _ in range(10)]
     got = empirical_cross_cov(xs, xs)
     pooled = np.concatenate([x.values for x in xs])
@@ -340,16 +343,12 @@ def test_cross_cov_self_is_variance():
 
 
 def test_cross_cov_alternating_example():
-    from synchrony.core import TimeSeries
-
     x = [TimeSeries([1.0, -1.0, 1.0, -1.0])]
     y = [TimeSeries([-1.0, 1.0, -1.0, 1.0])]
     assert empirical_cross_cov(x, y) == pytest.approx(-1.0)
 
 
 def test_cross_cov_independent_noise_bound():
-    from synchrony.core import TimeSeries
-
     rng = np.random.default_rng(3)
     xs = [TimeSeries(rng.standard_normal(10**5))]
     ys = [TimeSeries(rng.standard_normal(10**5))]
@@ -367,8 +366,6 @@ def _five_array_cross_cov(xs, ys):
 
 
 def _offset_ensemble(n, length, seed):
-    from synchrony.core import TimeSeries
-
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, length)) + 0.3
     y = 0.6 * x + rng.standard_normal((n, length)) - 1.7
@@ -382,25 +379,89 @@ def test_cross_cov_keeps_the_five_array_bits(n, length):
     assert empirical_cross_cov(xs, ys) == _five_array_cross_cov(xs, ys)
 
 
-def test_cross_cov_holds_one_ensemble_array():
-    """At N = 500, T = 1000 the traced peak is one (N, T) float64 array
-    plus one 64-row block and a small slack; the five-array form peaks at
-    three (N, T) arrays."""
-    n, length = 500, 1000
-    xs, ys = _offset_ensemble(n, length, seed=8)
-    one_array, block, slack = n * length * 8, 64 * length * 8, 64 * 1024
+# (N, T) with N * T below 8, at _LEAF and _LEAF ± 8, and over several
+# levels of the tree above _LEAF
+_TREE_EDGE_SHAPES = [
+    (1, 1), (1, 7), (7, 1), (2, 3),
+    (8, _LEAF // 8), (8, _LEAF // 8 - 1), (8, _LEAF // 8 + 1),
+    (_LEAF, 1), (1, _LEAF - 8), (1, _LEAF + 8), (3, _LEAF + 5), (5, 4 * _LEAF // 5 + 3),
+]
+
+
+def _tree_ensemble(n, length, kind, seed):
+    """x and y series of one kind: offset noise; noise whose magnitudes span
+    2^-30..2^30, so that most other summation orders round differently; x
+    constant ±0 against a y ramp, so the centred products are ±0 with the
+    sign of y - my; or two constants, whose centred rows are exact zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        x = rng.standard_normal((n, length)) + 0.3
+        y = 0.6 * x + rng.standard_normal((n, length)) - 1.7
+    elif kind == "spread":
+        x, y = (rng.standard_normal((n, length)) * 2.0 ** rng.integers(-30, 31, (n, length))
+                for _ in range(2))
+    elif kind in ("zero x", "negative zero x"):
+        x = np.full((n, length), 0.0 if kind == "zero x" else -0.0)
+        y = np.arange(n * length, dtype=float).reshape(n, length) - rng.integers(n * length)
+    else:
+        x, y = np.full((n, length), 2.0), np.full((n, length), -3.0)
+    return [TimeSeries(r) for r in x], [TimeSeries(r) for r in y]
+
+
+@pytest.mark.parametrize("kind", ["noise", "spread", "zero x", "negative zero x", "constants"])
+@given(
+    shape=st.one_of(
+        st.sampled_from(_TREE_EDGE_SHAPES),
+        st.tuples(st.integers(1, 64), st.integers(1, 2048)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_cov_has_the_bits_of_the_stacked_mean(kind, shape, seed):
+    n, length = shape
+    xs, ys = _tree_ensemble(n, length, kind, seed)
+    got, want = empirical_cross_cov(xs, ys), _five_array_cross_cov(xs, ys)
+    assert got.hex() == want.hex(), (
+        f"N={n}, T={length} ({kind}): {got.hex()} against {want.hex()} from mean "
+        "over the stacked arrays. empirical_cross_cov assumes NumPy's pairwise "
+        "reduce tree (a node of more than 128 elements splits at half its size "
+        "rounded down to a multiple of 8); this NumPy sums another way"
+    )
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_cross_cov_memory_does_not_grow_with_the_ensemble(n):
+    """At T = 1000 the traced peak is two _LEAF float64 scratch buffers and
+    a small slack, whatever N; one stacked (N, T) array is 4 MB at N = 500."""
+    length = 1000
+    rng = np.random.default_rng(n)
+    xs = [TimeSeries(rng.standard_normal(length) + 0.3) for _ in range(n)]
+    ys = [TimeSeries(rng.standard_normal(length) - 1.7) for _ in range(n)]
+    scratch, slack = 2 * _LEAF * 8, 64 * 1024
     tracemalloc.start()
     try:
         empirical_cross_cov(xs, ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= one_array + block + slack
+    assert peak <= scratch + slack
+
+
+def test_cross_cov_leaves_no_reference_to_the_ensemble():
+    """With the cyclic collector off, the series are freed as soon as the
+    caller drops them: a reference cycle would keep the whole ensemble alive
+    until the next collection."""
+    xs, ys = _offset_ensemble(3, 4000, seed=9)
+    probe = weakref.ref(xs[0])
+    gc.disable()
+    try:
+        empirical_cross_cov(xs, ys)
+        del xs, ys
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_cross_cov_rejects_mismatched_lengths():
-    from synchrony.core import TimeSeries
-
     with pytest.raises(ValueError):
         empirical_cross_cov([TimeSeries([1, 2])], [TimeSeries([1, 2, 3])])
 
@@ -424,7 +485,6 @@ def test_preset_unknown_kind():
 
 
 def test_preset_trended_detrends_to_stationary():
-    from synchrony.core import TimeSeries
     from synchrony.generate import PRESET_TREND_OMEGA, PRESET_TREND_SLOPE
 
     m = 600
